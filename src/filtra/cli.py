@@ -9,7 +9,6 @@ errors (bad flags, unreadable files, invalid parameter combinations).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -53,12 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", default="bilinear", help="comma-separated interpolation modes")
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--report", help="write per-element residuals to this CSV file")
-    p_verify.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="parallelism hint; results are identical for any value",
-    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="build a steerable kernel and write its grids")
@@ -96,9 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    groups = tuple(parse_group(name) for name in _comma_list(args.group))
-    sizes = tuple(int(s) for s in _comma_list(args.size))
-    modes = tuple(_comma_list(args.mode))
+    lists = {option: _comma_list(getattr(args, option)) for option in ("group", "size", "mode")}
+    for option, items in lists.items():
+        if not items:
+            raise ValueError(f"--{option} names no values; the suite would check nothing")
+    groups = tuple(parse_group(name) for name in lists["group"])
+    sizes = tuple(int(s) for s in lists["size"])
+    modes = tuple(lists["mode"])
     config = SuiteConfig(groups=groups, sizes=sizes, modes=modes, seed=args.seed)
     reports = run_suite(config)
     if args.report:

@@ -4,6 +4,11 @@ against steerable kernels, and steerability-preserving nonlinearity/pooling.
 A feature map is a C x H x W tensor whose channels carry `multiplicity`
 copies of a representation, multiplicity-major: channel block b spans
 [b * dim, (b + 1) * dim).
+
+`conv2d` is one im2col matrix product per call: the zero-padded S x S
+windows of every block, flattened to (dim_in * S * S, H * W) columns, times
+the kernel flattened to (dim_out, dim_in * S * S).  `pool_spatial` is a
+strided max: k * k in-place maxima over strided slices of the padded map.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate2d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .filters import check_mode, coordinate_matrix, sample_plane
 from .groups import GroupElement, GroupSpec
@@ -70,15 +75,14 @@ def conv2d(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
     s = kernel.size
     if f.height < s or f.width < s:
         raise ValueError(f"spatial size {f.height}x{f.width} smaller than the kernel size {s}")
-    blocks = f.blocks()
-    m = f.multiplicity
+    m, h, w = f.multiplicity, f.height, f.width
     do, di = kernel.rep_out.dim, kernel.rep_in.dim
-    out = np.zeros((m, do, f.height, f.width))
-    for b in range(m):
-        for o in range(do):
-            for i in range(di):
-                out[b, o] += correlate2d(blocks[b, i], kernel.grids[o, i], mode="same", fillvalue=0.0)
-    return FeatureMap(f.group, kernel.rep_out, out.reshape(m * do, f.height, f.width))
+    r = s // 2
+    padded = np.pad(f.blocks(), ((0, 0), (0, 0), (r, r), (r, r)))
+    windows = sliding_window_view(padded, (s, s), axis=(2, 3))  # (m, di, H, W, S, S)
+    columns = windows.transpose(0, 1, 4, 5, 2, 3).reshape(m, di * s * s, h * w)
+    out = kernel.grids.reshape(do, di * s * s) @ columns
+    return FeatureMap(f.group, kernel.rep_out, out.reshape(m * do, h, w))
 
 
 def act_on_feature(g: GroupElement, f: FeatureMap, mode: str = "bilinear") -> FeatureMap:
@@ -122,9 +126,10 @@ def pool_spatial(f: FeatureMap, k: int, stride: int) -> FeatureMap:
     ph = max(0, (oh - 1) * stride + k - h)
     pw = max(0, (ow - 1) * stride + k - w)
     padded = np.pad(f.data, ((0, 0), (0, ph), (0, pw)))
-    out = np.zeros((f.data.shape[0], oh, ow))
-    for r in range(oh):
-        for c in range(ow):
-            window = padded[:, r * stride : r * stride + k, c * stride : c * stride + k]
-            out[:, r, c] = window.max(axis=(1, 2))
+    span_h, span_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+    # every window covers at least one map pixel, so -inf never survives
+    out = np.full((f.data.shape[0], oh, ow), -np.inf)
+    for u in range(k):
+        for v in range(k):
+            np.maximum(out, padded[:, u : u + span_h : stride, v : v + span_w : stride], out=out)
     return FeatureMap(f.group, f.rep, out)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .groups import TAU, GroupElement, GroupSpec
 
@@ -46,15 +45,25 @@ def trivial_rep_matrix(g: GroupElement) -> np.ndarray:
 def regular_rep_matrix(g: GroupElement) -> np.ndarray:
     """Permutation matrix of g acting on coordinates indexed by group elements."""
     n = g.spec.rotation_order
-    p = rotation_permutation(n, g.i1)
     if g.spec.reflection_order == 1:
-        return p
-    if g.i0 == 0:
-        return block_diag(p, p)
-    b = reflection_permutation(n, g.i1)
+        return rotation_permutation(n, g.i1)
     out = np.zeros((2 * n, 2 * n))
-    out[:n, n:] = b
-    out[n:, :n] = b
+    if g.i0 == 0:
+        out[:n, :n] = out[n:, n:] = rotation_permutation(n, g.i1)
+    else:
+        out[:n, n:] = out[n:, :n] = reflection_permutation(n, g.i1)
+    return out
+
+
+def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    """Square blocks placed in order along the diagonal of one zero matrix."""
+    size = sum(b.shape[0] for b in blocks)
+    out = np.zeros((size, size))
+    start = 0
+    for b in blocks:
+        stop = start + b.shape[0]
+        out[start:stop, start:stop] = b
+        start = stop
     return out
 
 
@@ -222,7 +231,7 @@ def decompose_regular(g: GroupElement) -> tuple[DctBasis, np.ndarray]:
     """Basis and block-diagonal irrep direct sum D with
     regular_rep_matrix(g) == basis @ D @ basis.inverse()."""
     basis = group_dct_basis(g.spec)
-    d = block_diag(*[irrep_matrix(g, j, k) for (j, k, _) in basis.blocks])
+    d = _block_diag([irrep_matrix(g, j, k) for (j, k, _) in basis.blocks])
     return basis, d
 
 
@@ -264,5 +273,5 @@ def regular_rep_fractional(n: int, t: float) -> np.ndarray:
             blocks.append(np.array([[math.cos(a)]]))
         else:
             blocks.append(np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]))
-    d = block_diag(*blocks)
+    d = _block_diag(blocks)
     return basis.matrix @ d @ basis.inverse()

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import filtra
 from filtra.cli import main
 from filtra.fileio import write_filter_csv
 
@@ -40,6 +46,28 @@ def test_verify_multiple_groups_modes():
 
 def test_verify_unknown_flag_is_usage_error():
     assert main(["verify", "--group", "c4", "--bogus", "1"]) == 2
+    assert main(["verify", "--group", "c4", "--threads", "2"]) == 2
+
+
+@pytest.mark.parametrize("option", ["--group", "--size", "--mode"])
+@pytest.mark.parametrize("value", ["", " , "], ids=["empty", "blank"])
+def test_verify_empty_option_is_usage_error(option, value, capsys):
+    args = {"--group": "c4", "--size": "3", "--mode": "bilinear", option: value}
+    code = main(["verify", *(item for pair in args.items() for item in pair)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert option in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(filtra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, filtra, filtra.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_gen_requires_k(base_csv, tmp_path, capsys):

@@ -193,3 +193,76 @@ def test_pool_spatial_commutes_with_channel_permutation():
     a = pool_spatial(feature_map(c4, regular_rep(c4), data[perm]), 3, 1)
     b = pool_spatial(f, 3, 1)
     assert_array_equal(a.data, b.data[perm])
+
+
+def loop_conv2d(grids, data):
+    """Per-pixel zero-padded same-size cross-correlation of each multiplicity block."""
+    do, di, s, _ = grids.shape
+    c, h, w = data.shape
+    r = s // 2
+    padded = np.pad(data.reshape(c // di, di, h, w), ((0, 0), (0, 0), (r, r), (r, r)))
+    out = np.zeros((c // di, do, h, w))
+    for b in range(c // di):
+        for o in range(do):
+            for y in range(h):
+                for x in range(w):
+                    out[b, o, y, x] = np.sum(grids[o] * padded[b, :, y : y + s, x : x + s])
+    return out.reshape(-1, h, w)
+
+
+def loop_pool(data, k, stride):
+    """Per-pixel max over k x k windows at the given stride; windows that run
+    past the bottom or right edge read zeros."""
+    c, h, w = data.shape
+    oh = 1 + max(0, -(-(h - k) // stride))
+    ow = 1 + max(0, -(-(w - k) // stride))
+    out = np.empty((c, oh, ow))
+    for ch in range(c):
+        for r in range(oh):
+            for col in range(ow):
+                window = [
+                    data[ch, y, x] if y < h and x < w else 0.0
+                    for y in range(r * stride, r * stride + k)
+                    for x in range(col * stride, col * stride + k)
+                ]
+                out[ch, r, col] = max(window)
+    return out
+
+
+@pytest.mark.parametrize(
+    "rep_in, rep_out, m, s, h, w",
+    [
+        ("trivial", "trivial", 1, 1, 4, 6),
+        ("trivial", "regular", 2, 3, 7, 5),
+        ("regular", "regular", 3, 5, 6, 9),
+        ("irrep", "regular", 1, 9, 9, 11),
+        ("regular", "irrep", 2, 3, 3, 8),
+        ("irrep", "irrep", 3, 5, 5, 5),
+        ("regular", "trivial", 1, 9, 12, 9),
+    ],
+)
+def test_conv_matches_per_pixel_loop(rep_in, rep_out, m, s, h, w):
+    d4 = dihedral_group(4)
+    reps = {"trivial": trivial_rep(d4), "irrep": irrep(d4, 1, 1), "regular": regular_rep(d4)}
+    rin, rout = reps[rep_in], reps[rep_out]
+    rng = np.random.default_rng(s * 100 + m * 10 + h)
+    grids = rng.uniform(-1, 1, (rout.dim, rin.dim, s, s))
+    kernel = SteerableKernel(d4, rin, rout, grids, "bilinear")
+    data = rng.uniform(-1, 1, (m * rin.dim, h, w))
+    out = conv2d(kernel, feature_map(d4, rin, data))
+    assert out.rep == rout
+    assert out.data.shape == (m * rout.dim, h, w)
+    assert_allclose(out.data, loop_conv2d(grids, data), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k, stride", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 1)])
+@pytest.mark.parametrize("h, w", [(7, 8), (2, 1), (5, 4)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pool_spatial_matches_per_pixel_loop(k, stride, h, w, sign):
+    c4 = cyclic_group(4)
+    rng = np.random.default_rng(h * 10 + w)
+    # sign -1 makes every input negative, so zero padding wins wherever it is read
+    data = sign * rng.uniform(0.1, 1.0, (4, h, w))
+    out = pool_spatial(feature_map(c4, regular_rep(c4), data), k, stride)
+    assert out.rep == regular_rep(c4)
+    assert_array_equal(out.data, loop_pool(data, k, stride))
