@@ -39,6 +39,17 @@ def _comma_list(text: str) -> list[str]:
     return [item for item in (part.strip() for part in text.split(",")) if item]
 
 
+def _odd_size(value: str | int) -> int:
+    """A filter side length given to --size."""
+    try:
+        size = int(value)
+    except ValueError:
+        size = 0
+    if size < 1 or size % 2 == 0:
+        raise ValueError(f"--size must be a positive odd integer, got {value}")
+    return size
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filtra",
@@ -94,7 +105,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not items:
             raise ValueError(f"--{option} names no values; the suite would check nothing")
     groups = tuple(parse_group(name) for name in lists["group"])
-    sizes = tuple(int(s) for s in lists["size"])
+    sizes = tuple(_odd_size(s) for s in lists["size"])
     modes = tuple(lists["mode"])
     config = SuiteConfig(groups=groups, sizes=sizes, modes=modes, seed=args.seed)
     reports = run_suite(config)
@@ -195,8 +206,9 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     spec = parse_group(args.group)
     if spec.reflection_order != 1:
         raise ValueError("capacity accounting is defined for cyclic groups, e.g. c8")
+    size = _odd_size(args.size)
     for kind in CAPACITY_KINDS:
-        rep = capacity_report(spec.rotation_order, args.size, kind)
+        rep = capacity_report(spec.rotation_order, size, kind)
         print(f"{rep.kernel_kind},{rep.independent_weights},{rep.stored_filter_scalars}")
     return 0
 

@@ -5,14 +5,23 @@ Grids are square with odd side length so a center pixel exists; the center
 pixel sits at the origin, x grows rightward (columns), y grows upward (rows
 decrease).  Samples outside the grid read as zero.
 
-Rotation angles are canonicalized to rational multiples of a full turn
-(denominators up to 720) before evaluating cos/sin, and near-integer
-cos/sin values are snapped.  This makes rotations by the same angle modulo
-2*pi bit-identical and makes 90-degree multiples exact pixel permutations.
+Resampling through a linear coordinate map is a fixed sparse linear map on
+the pixels: one tap per pixel for nearest, four for bilinear.  Its taps
+(flat source index and weight) are built once per (grid size, map, mode)
+and kept in a bounded cache, so each later call is a gather and a weighted
+sum.
+
+Rotation angles are exact rationals: a group element rotates by the turn
+i1/N, reduced to lowest terms before cos/sin are evaluated, and near-integer
+cos/sin values are snapped.  This makes rotations by congruent angles
+bit-identical for every N and makes 90-degree multiples exact pixel
+permutations.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +34,8 @@ MODES = ("bilinear", "nearest")
 
 _MAX_TURN_DENOMINATOR = 720
 _SNAP_EPS = 1e-12
+# a D_N suite over a few sizes and both modes needs a few hundred tap sets
+_TAP_CACHE_SIZE = 1024
 
 
 def check_mode(mode: str) -> str:
@@ -44,20 +55,7 @@ def check_filter_grid(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def rotation_cos_sin(theta: float) -> tuple[float, float]:
-    """Cosine and sine of theta, canonicalized for grid rotations.
-
-    Angles within 1e-12 of a rational number of turns (denominator <= 720)
-    are replaced by that rational, so congruent angles mod 2*pi produce
-    bit-identical values; cos/sin within 1e-12 of an integer snap to it.
-    """
-    turns = theta / TAU
-    frac = Fraction(turns).limit_denominator(_MAX_TURN_DENOMINATOR)
-    if abs(turns - float(frac)) < _SNAP_EPS:
-        frac -= math.floor(frac)
-        a = TAU * frac.numerator / frac.denominator
-    else:
-        a = theta
+def _snapped_cos_sin(a: float) -> tuple[float, float]:
     c, s = math.cos(a), math.sin(a)
     if abs(c - round(c)) < _SNAP_EPS:
         c = float(round(c))
@@ -66,9 +64,64 @@ def rotation_cos_sin(theta: float) -> tuple[float, float]:
     return c, s
 
 
+def rotation_cos_sin(turn: int, n: int) -> tuple[float, float]:
+    """Cosine and sine of the rotation by turn/n of a full turn.
+
+    The turn is reduced mod 1 and to lowest terms before the angle is formed,
+    so congruent turns give bit-identical values for every n; cos/sin within
+    1e-12 of an integer snap to it.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    turn %= n
+    d = math.gcd(turn, n)
+    return _snapped_cos_sin(TAU * (turn // d) / (n // d))
+
+
 def _round_half_down(x: np.ndarray) -> np.ndarray:
     """Round to the nearest integer, ties toward the smaller integer."""
     return np.ceil(x - 0.5).astype(int)
+
+
+@functools.lru_cache(maxsize=_TAP_CACHE_SIZE)
+def _sample_taps(
+    h: int, w: int, matrix: tuple[float, float, float, float], mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The taps of `sample_plane` on an h x w grid: flat source indices and,
+    per tap, the bilinear weight (0 outside the grid) or the nearest-mode
+    inside mask.  Shapes (h*w,) for nearest, (4, h*w) for bilinear."""
+    m00, m01, m10, m11 = matrix
+    cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
+    rows, cols = np.indices((h, w))
+    x = cols - cc
+    y = cr - rows
+    sx = m00 * x + m01 * y
+    sy = m10 * x + m11 * y
+    fr = cr - sy
+    fc = sx + cc
+
+    def flat_index(r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        inside = (r >= 0) & (r < h) & (c >= 0) & (c < w)
+        index = np.clip(r, 0, h - 1) * w + np.clip(c, 0, w - 1)
+        return index.ravel().astype(np.int32), inside.ravel()
+
+    if mode == "nearest":
+        index, weight = flat_index(_round_half_down(fr), _round_half_down(fc))
+    else:
+        r0 = np.floor(fr).astype(int)
+        c0 = np.floor(fc).astype(int)
+        dr = fr - r0
+        dc = fc - c0
+        index = np.empty((4, h * w), dtype=np.int32)
+        weight = np.empty((4, h * w))
+        row_taps = ((r0, 1.0 - dr), (r0 + 1, dr))
+        col_taps = ((c0, 1.0 - dc), (c0 + 1, dc))
+        for t, ((rr, wr), (c_, wc)) in enumerate(itertools.product(row_taps, col_taps)):
+            index[t], inside = flat_index(rr, c_)
+            weight[t] = np.where(inside, (wr * wc).ravel(), 0.0)
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
 
 
 def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarray:
@@ -77,51 +130,45 @@ def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarra
     out[..., r, c] = values interpolated at matrix @ (x, y) for the centered
     coordinates (x, y) of pixel (r, c); points outside the grid read 0.
     Leading dimensions of `values` are batched over the same coordinate map.
+    The taps are built once per (h, w, matrix, mode) and cached; bilinear
+    taps are summed in a fixed order starting from zero.
     """
     check_mode(mode)
     values = np.asarray(values, dtype=float)
     h, w = values.shape[-2:]
-    cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
-    rows, cols = np.indices((h, w))
-    x = cols - cc
-    y = cr - rows
-    sx = matrix[0, 0] * x + matrix[0, 1] * y
-    sy = matrix[1, 0] * x + matrix[1, 1] * y
-    fr = cr - sy
-    fc = sx + cc
-
+    key = tuple(np.asarray(matrix, dtype=float).ravel().tolist())
+    index, weight = _sample_taps(h, w, key, mode)
+    flat = values.reshape(*values.shape[:-2], h * w)
     if mode == "nearest":
-        ri = _round_half_down(fr)
-        ci = _round_half_down(fc)
-        inside = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
-        gathered = values[..., np.clip(ri, 0, h - 1), np.clip(ci, 0, w - 1)]
-        return np.where(inside, gathered, 0.0)
+        return np.where(weight, flat[..., index], 0.0).reshape(values.shape)
+    out = np.zeros_like(flat)
+    for idx, wt in zip(index, weight):
+        tap = flat[..., idx]
+        tap *= wt
+        out += tap
+    return out.reshape(values.shape)
 
-    r0 = np.floor(fr).astype(int)
-    c0 = np.floor(fc).astype(int)
-    dr = fr - r0
-    dc = fc - c0
-    out = np.zeros_like(values)
-    for rr, wr in ((r0, 1.0 - dr), (r0 + 1, dr)):
-        for cc_, wc in ((c0, 1.0 - dc), (c0 + 1, dc)):
-            inside = (rr >= 0) & (rr < h) & (cc_ >= 0) & (cc_ < w)
-            gathered = np.where(
-                inside, values[..., np.clip(rr, 0, h - 1), np.clip(cc_, 0, w - 1)], 0.0
-            )
-            out += wr * wc * gathered
-    return out
+
+def _rotated(values: np.ndarray, c: float, s: float, mode: str) -> np.ndarray:
+    # out(x) = f(R(-theta) x) for the rotation with cosine c and sine s
+    return sample_plane(values, np.array([[c, s], [-s, c]]), mode)
 
 
 def resample_rotate(values: np.ndarray, theta: float, mode: str = "bilinear") -> np.ndarray:
-    """Rotate the filter content counter-clockwise by theta.
+    """Rotate the filter content counter-clockwise by theta radians.
 
     out(x) = f(R(-theta) x): a feature at angle phi moves to angle phi + theta.
+    An angle within 1e-12 of a turn p/q with q <= 720 rotates exactly as
+    `rotation_cos_sin(p, q)`; other angles use their own cos/sin.
     """
     values = check_filter_grid(values)
-    c, s = rotation_cos_sin(theta)
-    # R(-theta)
-    matrix = np.array([[c, s], [-s, c]])
-    return sample_plane(values, matrix, mode)
+    turns = theta / TAU
+    frac = Fraction(turns).limit_denominator(_MAX_TURN_DENOMINATOR)
+    if abs(turns - float(frac)) < _SNAP_EPS:
+        c, s = rotation_cos_sin(frac.numerator, frac.denominator)
+    else:
+        c, s = _snapped_cos_sin(theta)
+    return _rotated(values, c, s, mode)
 
 
 def resample_reflect(values: np.ndarray) -> np.ndarray:
@@ -133,7 +180,7 @@ def resample_reflect(values: np.ndarray) -> np.ndarray:
 def coordinate_matrix(g: GroupElement) -> np.ndarray:
     """Matrix of g acting on centered coordinates: reflect (y -> -y) first
     when i0 = 1, then rotate by the element's angle."""
-    c, s = rotation_cos_sin(g.angle)
+    c, s = rotation_cos_sin(g.i1, g.spec.rotation_order)
     rot = np.array([[c, -s], [s, c]])
     if g.i0:
         rot = rot @ np.diag([1.0, -1.0])
@@ -174,7 +221,7 @@ def rotation_stack(base: np.ndarray, n: int, mode: str = "bilinear") -> FilterSt
     check_mode(mode)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    entries = np.stack([base] + [resample_rotate(base, TAU * m / n, mode) for m in range(1, n)])
+    entries = np.stack([base] + [_rotated(base, *rotation_cos_sin(m, n), mode) for m in range(1, n)])
     return FilterStack(GroupSpec(1, n), entries, False, mode)
 
 

@@ -191,7 +191,6 @@ class CapacityReport:
     kernel_kind: str
     independent_weights: int
     stored_filter_scalars: int
-    column_block_count: int  # columns x irrep blocks bookkeeping
 
     def __post_init__(self) -> None:
         if self.independent_weights > self.stored_filter_scalars:
@@ -204,10 +203,5 @@ def capacity_report(n: int, size: int, kind: str) -> CapacityReport:
     if kind not in CAPACITY_KINDS:
         raise ValueError(f"unknown capacity kind {kind!r}: expected one of {CAPACITY_KINDS}")
     stored = n * n * size * size
-    if kind == "reg2reg":
-        independent = (n // 2 + 1) * size * size
-        column_blocks = n * (n // 2) if n > 1 else 1
-    else:
-        independent = size * size
-        column_blocks = n
-    return CapacityReport(kind, independent, stored, column_blocks)
+    independent = (n // 2 + 1) * size * size if kind == "reg2reg" else size * size
+    return CapacityReport(kind, independent, stored)

@@ -29,6 +29,14 @@ def test_capacity_rejects_dihedral(capsys):
     assert main(["capacity", "--group", "d8", "--size", "5"]) == 2
 
 
+@pytest.mark.parametrize("size", ["-3", "0", "4"])
+def test_capacity_rejects_invalid_size(size, capsys):
+    assert main(["capacity", "--group", "c8", "--size", size]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--size" in captured.err and "positive odd integer" in captured.err
+
+
 def test_verify_passes(capsys, tmp_path):
     report = tmp_path / "report.csv"
     code = main(["verify", "--group", "c4", "--size", "3", "--report", str(report)])
@@ -47,6 +55,14 @@ def test_verify_multiple_groups_modes():
 def test_verify_unknown_flag_is_usage_error():
     assert main(["verify", "--group", "c4", "--bogus", "1"]) == 2
     assert main(["verify", "--group", "c4", "--threads", "2"]) == 2
+
+
+@pytest.mark.parametrize("size", ["-3", "0", "4", "3,x"])
+def test_verify_rejects_invalid_size(size, capsys):
+    assert main(["verify", "--group", "c4", "--size", size]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--size" in captured.err and "positive odd integer" in captured.err
 
 
 @pytest.mark.parametrize("option", ["--group", "--size", "--mode"])

@@ -6,12 +6,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from filtra.filters import (
     _round_half_down,
+    _sample_taps,
     check_filter_grid,
+    coordinate_matrix,
     reflected_rotation_stack,
     resample_reflect,
     resample_rotate,
     rotation_cos_sin,
     rotation_stack,
+    sample_plane,
     transform_filter,
 )
 from filtra.groups import TAU, cyclic_group, dihedral_group
@@ -31,11 +34,28 @@ def test_grid_validation():
 
 
 def test_rotation_cos_sin_snaps_quarter_turns():
-    assert rotation_cos_sin(0.0) == (1.0, 0.0)
-    assert rotation_cos_sin(math.pi / 2) == (0.0, 1.0)
-    assert rotation_cos_sin(math.pi) == (-1.0, 0.0)
-    assert rotation_cos_sin(3 * math.pi / 2) == (0.0, -1.0)
-    assert rotation_cos_sin(-math.pi / 2) == (0.0, -1.0)
+    assert rotation_cos_sin(0, 4) == (1.0, 0.0)
+    assert rotation_cos_sin(1, 4) == (0.0, 1.0)
+    assert rotation_cos_sin(2, 4) == (-1.0, 0.0)
+    assert rotation_cos_sin(3, 4) == (0.0, -1.0)
+    assert rotation_cos_sin(-1, 4) == (0.0, -1.0)
+
+
+@pytest.mark.parametrize("n", (720, 1440, 1441))
+def test_congruent_turns_are_bit_identical(n):
+    rng = np.random.default_rng(4)
+    f = rng.uniform(-1.0, 1.0, (5, 5))
+    for i in (1, 7, n // 4, n - 1):
+        want = rotation_cos_sin(i, n)
+        for turn, den in ((i + n, n), (i - n, n), (i - 3 * n, n), (2 * i, 2 * n), (3 * i + 3 * n, 3 * n)):
+            assert rotation_cos_sin(turn, den) == want, (turn, den)
+        # the same angle as an element of C_N and of D_3N
+        g, h = cyclic_group(n).element(0, i), dihedral_group(3 * n).element(0, 3 * i)
+        assert coordinate_matrix(g).tobytes() == coordinate_matrix(h).tobytes()
+        for mode in ("bilinear", "nearest"):
+            assert transform_filter(f, g, mode).tobytes() == transform_filter(f, h, mode).tobytes()
+    if n % 4 == 0:
+        assert rotation_cos_sin(n // 4, n) == (0.0, 1.0)
 
 
 def test_rotate_zero_is_identity():
@@ -167,3 +187,79 @@ def test_transform_filter_action_property():
             lhs = transform_filter(transform_filter(f, h), g)
             rhs = transform_filter(f, h.compose(g))
             assert_array_equal(lhs, rhs)
+
+
+def _reference_sample_plane(values, matrix, mode):
+    """Pixel-by-pixel resampling with the same float operations, in the same
+    order, as the documented map: centred coordinates, the linear map, then
+    round-half-down (nearest) or four bilinear taps accumulated from zero."""
+    values = np.asarray(values, dtype=float)
+    h, w = values.shape[-2:]
+    cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
+    out = np.zeros_like(values)
+    for r in range(h):
+        for c in range(w):
+            x, y = c - cc, cr - r
+            sx = float(matrix[0, 0]) * x + float(matrix[0, 1]) * y
+            sy = float(matrix[1, 0]) * x + float(matrix[1, 1]) * y
+            fr, fc = cr - sy, sx + cc
+            if mode == "nearest":
+                ri, ci = math.ceil(fr - 0.5), math.ceil(fc - 0.5)
+                if 0 <= ri < h and 0 <= ci < w:
+                    out[..., r, c] = values[..., ri, ci]
+                continue
+            r0, c0 = math.floor(fr), math.floor(fc)
+            dr, dc = fr - r0, fc - c0
+            acc = np.zeros(values.shape[:-2])
+            for rr, wr in ((r0, 1.0 - dr), (r0 + 1, dr)):
+                for ci, wc in ((c0, 1.0 - dc), (c0 + 1, dc)):
+                    tap = values[..., rr, ci] if 0 <= rr < h and 0 <= ci < w else np.zeros(values.shape[:-2])
+                    acc = acc + wr * wc * tap
+            out[..., r, c] = acc
+    return out
+
+
+def _sample_cases():
+    d6 = dihedral_group(6)
+    matrices = [coordinate_matrix(g) for g in d6.elements()]
+    matrices += [coordinate_matrix(g) for g in dihedral_group(8).elements() if g.i1 % 2]
+    c, s = math.cos(0.37), math.sin(0.37)
+    matrices += [np.array([[c, s], [-s, c]]), np.array([[0.9, 0.3], [-0.2, 1.1]])]
+    shapes = [(1, 1), (3, 3), (5, 5), (9, 9), (5, 7), (7, 3), (2, 3, 5, 5), (4, 1, 3, 7)]
+    return [(shape, m) for shape in shapes for m in matrices]
+
+
+@pytest.mark.parametrize("mode", ("bilinear", "nearest"))
+def test_sample_plane_matches_per_pixel_reference(mode):
+    rng = np.random.default_rng(12)
+    for shape, matrix in _sample_cases():
+        values = rng.uniform(-1.0, 1.0, shape)
+        values.flat[0] = -0.0
+        got = sample_plane(values, matrix, mode)
+        want = _reference_sample_plane(values, matrix, mode)
+        assert got.shape == values.shape
+        assert got.tobytes() == want.tobytes(), (shape, matrix, mode)
+
+
+def test_sample_plane_taps_are_cached_read_only_and_bounded():
+    rng = np.random.default_rng(14)
+    values = rng.uniform(-1.0, 1.0, (3, 7, 7))
+    matrix = coordinate_matrix(dihedral_group(8).element(1, 3))
+    for mode in ("bilinear", "nearest"):
+        _sample_taps.cache_clear()
+        first = sample_plane(values, matrix, mode)
+        assert _sample_taps.cache_info().currsize == 1
+        again = sample_plane(values, matrix, mode)
+        assert _sample_taps.cache_info().hits == 1
+        assert again.tobytes() == first.tobytes()
+        for taps in _sample_taps(7, 7, tuple(matrix.ravel().tolist()), mode):
+            assert not taps.flags.writeable
+            with pytest.raises(ValueError):
+                taps[..., 0] = 0
+    maxsize = _sample_taps.cache_info().maxsize
+    assert maxsize is not None
+    for side in range(1, 41):
+        for width in range(1, 41):
+            sample_plane(np.ones((side, width)), matrix, "nearest")
+    assert side * width > maxsize
+    assert _sample_taps.cache_info().currsize <= maxsize

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from filtra.features import feature_map
+from filtra.filters import coordinate_matrix, sample_plane
 from filtra.groups import cyclic_group, dihedral_group
 from filtra.harness import (
     IDENTITY_TOL,
@@ -137,3 +138,26 @@ def test_kernel_families_cover_constructions():
     d_labels = [label for label, _ in kernel_families(dihedral_group(4), 3, "bilinear", RNG)]
     assert "irrep2reg:j1:k1" in d_labels
     assert "orn" not in d_labels
+
+
+def _einsum_kernel_residuals(kernel, g):
+    """The steer check written as one three-operand contraction."""
+    lhs = sample_plane(kernel.grids, coordinate_matrix(g), kernel.mode)
+    rhs = np.einsum("ab,bchw,cd->adhw", kernel.rep_out.matrix(g), kernel.grids, kernel.rep_in.matrix(g).T)
+    abs_res = float(np.abs(lhs - rhs).max())
+    scale = float(np.abs(rhs).max())
+    return abs_res, (abs_res / scale if abs_res else 0.0), scale
+
+
+@pytest.mark.parametrize("group", [cyclic_group(5), dihedral_group(4), dihedral_group(6)], ids=lambda g: g.name)
+@pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+def test_kernel_check_matches_einsum_formula(group, mode):
+    rng = np.random.default_rng(13)
+    for label, kernel in kernel_families(group, 3, mode, rng):
+        for g in group.elements():
+            abs_res, rel_res = check_kernel_equivariance(kernel, g)
+            ref_abs, ref_rel, scale = _einsum_kernel_residuals(kernel, g)
+            if (g.i0, g.i1) == (0, 0):
+                assert (abs_res, rel_res) == (0.0, 0.0), label
+            assert abs(abs_res - ref_abs) <= 1e-14 * scale, (label, g)
+            assert abs(rel_res - ref_rel) <= 1e-14 * max(1.0, ref_rel), (label, g)

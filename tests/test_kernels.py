@@ -181,10 +181,8 @@ def test_capacity_report():
     filtra_rep = capacity_report(8, 5, "reg2reg")
     assert filtra_rep.independent_weights == (8 // 2 + 1) * 25 == 125
     assert filtra_rep.stored_filter_scalars == 8 * 8 * 25
-    assert filtra_rep.column_block_count == 8 * 4
     orn_rep = capacity_report(8, 5, "orn")
     assert orn_rep.independent_weights == 25
     assert orn_rep.stored_filter_scalars == 1600
-    assert orn_rep.column_block_count == 8
     with pytest.raises(ValueError):
         capacity_report(8, 5, "other")
