@@ -47,8 +47,7 @@ print("irrep channels: vector rotated by 90 degrees:",
 # Convolution with a steerable kernel commutes with the action.
 kernel = trivial_to_regular_cyclic(rng.uniform(-1.0, 1.0, (3, 3)), 4)
 f = feature_map(c4, trivial_rep(c4), rng.uniform(-1.0, 1.0, (1, 15, 15)))
-for g in c4.elements():
-    abs_res, _ = check_feature_equivariance(kernel, f, g)
+for g, (abs_res, _) in zip(c4.elements(), check_feature_equivariance(kernel, f, c4.elements())):
     print(f"conv/act commutation at rotation index {g.i1}: {abs_res:.2e}")
 
 # A small steerable pipeline stays equivariant end to end, and group pooling

@@ -5,10 +5,13 @@ A feature map is a C x H x W tensor whose channels carry `multiplicity`
 copies of a representation, multiplicity-major: channel block b spans
 [b * dim, (b + 1) * dim).
 
-`conv2d` is one im2col matrix product per call: the zero-padded S x S
-windows of every block, flattened to (dim_in * S * S, H * W) columns, times
-the kernel flattened to (dim_out, dim_in * S * S).  `pool_spatial` is a
-strided max: k * k in-place maxima over strided slices of the padded map.
+`conv2d` is im2col in row bands: the zero-padded S x S windows of a band of
+output rows are copied as (dim_in * S * S, rows * W) columns into one reused
+buffer of about COLUMN_TILE doubles, then multiplied by the kernel flattened
+to (dim_out, dim_in * S * S) straight into the output.  The band height
+depends only on dim_in * S * S and W, so a block's result does not depend on
+how many blocks are convolved with it.  `pool_spatial` is a strided max:
+k * k in-place maxima over strided slices of the padded map.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from .filters import check_mode, coordinate_matrix, sample_plane
 from .groups import GroupElement, GroupSpec
 from .kernels import SteerableKernel
 from .representations import RepSpec, trivial_rep
+
+# doubles in the im2col band buffer (4 MiB): a band holds as many output rows
+# of columns as fit, and never fewer than one.  BLAS may round a product in
+# the last bits differently at another band width; at this size a 15 x 15 map
+# with up to 1296 column rows (D8 regular, S = 9) is a single band.
+COLUMN_TILE = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -77,11 +86,22 @@ def conv2d(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
         raise ValueError(f"spatial size {f.height}x{f.width} smaller than the kernel size {s}")
     m, h, w = f.multiplicity, f.height, f.width
     do, di = kernel.rep_out.dim, kernel.rep_in.dim
-    r = s // 2
-    padded = np.pad(f.blocks(), ((0, 0), (0, 0), (r, r), (r, r)))
-    windows = sliding_window_view(padded, (s, s), axis=(2, 3))  # (m, di, H, W, S, S)
-    columns = windows.transpose(0, 1, 4, 5, 2, 3).reshape(m, di * s * s, h * w)
-    out = kernel.grids.reshape(do, di * s * s) @ columns
+    r, k = s // 2, di * s * s
+    # one block at a time goes into the interior of a zero-bordered buffer
+    padded = np.zeros((di, h + 2 * r, w + 2 * r))
+    # (di, S, S, H, W): window offset first, output pixel last
+    windows = sliding_window_view(padded, (s, s), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
+    rows = min(h, max(1, COLUMN_TILE // (k * w)))
+    buffer = np.empty(k * rows * w)
+    weights = kernel.grids.reshape(do, k)
+    out = np.empty((m, do, h * w))
+    for b, block in enumerate(f.blocks()):
+        padded[:, r : r + h, r : r + w] = block
+        for y in range(0, h, rows):
+            band = min(rows, h - y)
+            columns = buffer[: k * band * w].reshape(k, band * w)
+            np.copyto(columns.reshape(di, s, s, band, w), windows[:, :, :, y : y + band])
+            np.matmul(weights, columns, out=out[b, :, y * w : (y + band) * w])
     return FeatureMap(f.group, kernel.rep_out, out.reshape(m * do, h, w))
 
 

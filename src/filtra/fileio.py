@@ -31,18 +31,52 @@ def write_filter_csv(path: str | Path, values: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_lines(path: str | Path) -> tuple[list[str], int]:
+    """The lines of `path` without leading and trailing blank space, and the
+    file line number of the first of them."""
+    raw = Path(path).read_text()
+    stripped = raw.strip()
+    return stripped.splitlines(), raw[: raw.index(stripped)].count("\n") + 1
+
+
+def _int_field(where: str, key: str, text: str) -> int:
+    """A positive integer header field; `where` names the file and line."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{where}: {key} must be a positive integer, got {text!r}")
+    return value
+
+
+def _value_rows(path: str | Path, lines: list[str], first: int, width: int) -> list[list[float]]:
+    """Parse lines of `width` comma-separated numbers; `first` is the file
+    line number of lines[0]."""
+    rows = []
+    for lineno, line in enumerate(lines, start=first):
+        items = line.split(",")
+        if len(items) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} values, got {len(items)}")
+        try:
+            rows.append([float(v) for v in items])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: values must be numbers, got {line!r}") from None
+    return rows
+
+
 def read_filter_csv(path: str | Path) -> np.ndarray:
-    text = Path(path).read_text().strip().splitlines()
+    text, first = _read_lines(path)
     if not text or not text[0].startswith("S="):
-        raise ValueError(f"{path}: expected a first line of the form S=<odd int>")
-    s = int(text[0][2:])
+        raise ValueError(f"{path}:{first}: expected a first line of the form S=<odd int>")
+    s = _int_field(f"{path}:{first}", "S", text[0][2:])
     if len(text) != s + 1:
         raise ValueError(f"{path}: expected {s} rows after the header, got {len(text) - 1}")
-    rows = [[float(v) for v in line.split(",")] for line in text[1:]]
-    values = np.array(rows)
-    if values.shape != (s, s):
-        raise ValueError(f"{path}: expected {s}x{s} values, got {values.shape}")
-    return check_filter_grid(values)
+    values = np.array(_value_rows(path, text[1:], first + 1, s))
+    try:
+        return check_filter_grid(values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _rep_token(rep: RepSpec) -> str:
@@ -57,10 +91,11 @@ def _parse_rep(token: str, spec: GroupSpec) -> RepSpec:
     if token == "regular":
         return regular_rep(spec)
     if token.startswith("irrep:"):
-        parts = token.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad representation token {token!r}")
-        return irrep(spec, int(parts[1]), int(parts[2]))
+        try:
+            j, k = (int(part) for part in token.split(":")[1:])
+        except ValueError:
+            raise ValueError(f"bad representation token {token!r}") from None
+        return irrep(spec, j, k)
     raise ValueError(f"bad representation token {token!r}")
 
 
@@ -74,21 +109,34 @@ def write_feature_csv(path: str | Path, f: FeatureMap) -> None:
 
 
 def read_feature_csv(path: str | Path) -> FeatureMap:
-    text = Path(path).read_text().strip().splitlines()
+    text, first = _read_lines(path)
     if not text:
         raise ValueError(f"{path}: empty feature file")
-    fields = dict(item.split("=", 1) for item in text[0].split(","))
-    c, h, w = int(fields["C"]), int(fields["H"]), int(fields["W"])
-    spec = parse_group(fields["group"])
-    rep = _parse_rep(fields["rep"], spec)
-    mult = int(fields["mult"])
+    where = f"{path}:{first}"
+    fields = {}
+    for item in text[0].split(","):
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"{where}: header item {item!r} is not of the form key=value")
+        fields[key] = value
+    missing = [key for key in ("C", "H", "W", "group", "rep", "mult") if key not in fields]
+    if missing:
+        raise ValueError(f"{where}: header lacks {', '.join(missing)}")
+    c, h, w, mult = (_int_field(where, key, fields[key]) for key in ("C", "H", "W", "mult"))
+    try:
+        spec = parse_group(fields["group"])
+        rep = _parse_rep(fields["rep"], spec)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     if c != mult * rep.dim:
-        raise ValueError(f"{path}: C={c} does not equal mult*dim = {mult}*{rep.dim}")
+        raise ValueError(f"{where}: C={c} does not equal mult*dim = {mult}*{rep.dim}")
     if len(text) != 1 + c * h:
         raise ValueError(f"{path}: expected {c * h} value rows, got {len(text) - 1}")
-    rows = [[float(v) for v in line.split(",")] for line in text[1:]]
-    data = np.array(rows).reshape(c, h, w)
-    return FeatureMap(spec, rep, data)
+    data = np.array(_value_rows(path, text[1:], first + 1, w)).reshape(c, h, w)
+    try:
+        return FeatureMap(spec, rep, data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_pgm(path: str | Path, values: np.ndarray) -> None:

@@ -9,6 +9,7 @@ B(i1) = flipud(P(-i1 - 1)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,15 +44,26 @@ def trivial_rep_matrix(g: GroupElement) -> np.ndarray:
 
 
 def regular_rep_matrix(g: GroupElement) -> np.ndarray:
-    """Permutation matrix of g acting on coordinates indexed by group elements."""
-    n = g.spec.rotation_order
-    if g.spec.reflection_order == 1:
-        return rotation_permutation(n, g.i1)
-    out = np.zeros((2 * n, 2 * n))
-    if g.i0 == 0:
-        out[:n, :n] = out[n:, n:] = rotation_permutation(n, g.i1)
+    """Permutation matrix of g acting on coordinates indexed by group elements.
+
+    Built once per element and kept in a cache of the last 128 elements used,
+    so the array is read-only.
+    """
+    return _regular_rep(g.spec, g.i0, g.i1)
+
+
+@functools.lru_cache(maxsize=128)
+def _regular_rep(spec: GroupSpec, i0: int, i1: int) -> np.ndarray:
+    n = spec.rotation_order
+    if spec.reflection_order == 1:
+        out = rotation_permutation(n, i1)
     else:
-        out[:n, n:] = out[n:, :n] = reflection_permutation(n, g.i1)
+        out = np.zeros((2 * n, 2 * n))
+        if i0 == 0:
+            out[:n, :n] = out[n:, n:] = rotation_permutation(n, i1)
+        else:
+            out[:n, n:] = out[n:, :n] = reflection_permutation(n, i1)
+    out.setflags(write=False)
     return out
 
 

@@ -134,8 +134,7 @@ def test_criterion_6_feature_equivariance():
     for spec in (cyclic_group(4), dihedral_group(4)):
         for _, kernel in kernel_families(spec, 3, "bilinear", rng):
             f = feature_map(spec, kernel.rep_in, rng.uniform(-1, 1, (kernel.rep_in.dim, 15, 15)))
-            for g in spec.elements():
-                abs_res, _ = check_feature_equivariance(kernel, f, g)
+            for abs_res, _ in check_feature_equivariance(kernel, f, spec.elements()):
                 worst = max(worst, abs_res)
 
     # three-layer stack: conv -> relu -> conv -> spatial pool -> group pool

@@ -95,6 +95,20 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
     assert "requires --k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text", ["S=3\n1,2,3\n4,5\n7,8,9\n", "S=3\n1,2,3\n4,x,6\n7,8,9\n", "S=abc\n1\n"],
+    ids=["ragged", "non-numeric", "bad-size"],
+)
+def test_gen_malformed_base_names_file(text, tmp_path, capsys):
+    base = tmp_path / "broken.csv"
+    base.write_text(text)
+    code = main(["gen", "--group", "c4", "--kind", "triv2reg", "--base", str(base), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"filtra: error: {base}:")
+    assert "inhomogeneous" not in err and "could not convert" not in err and "invalid literal" not in err
+
+
 def test_gen_writes_grids(base_csv, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(

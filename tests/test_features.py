@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from filtra import features
 from filtra.features import (
+    COLUMN_TILE,
     act_on_feature,
     conv2d,
     feature_map,
@@ -239,6 +245,11 @@ def loop_pool(data, k, stride):
         ("regular", "irrep", 2, 3, 3, 8),
         ("irrep", "irrep", 3, 5, 5, 5),
         ("regular", "trivial", 1, 9, 12, 9),
+        # one row of D4-regular S=9 columns is 648 * W doubles: bands of three
+        # rows, so ten rows end in a short band of one
+        ("regular", "trivial", 2, 9, 10, COLUMN_TILE // (3 * 648)),
+        # one row of columns is larger than the buffer: every band is one row
+        ("regular", "irrep", 1, 9, 9, COLUMN_TILE // 648 + 1),
     ],
 )
 def test_conv_matches_per_pixel_loop(rep_in, rep_out, m, s, h, w):
@@ -266,3 +277,31 @@ def test_pool_spatial_matches_per_pixel_loop(k, stride, h, w, sign):
     out = pool_spatial(feature_map(c4, regular_rep(c4), data), k, stride)
     assert out.rep == regular_rep(c4)
     assert_array_equal(out.data, loop_pool(data, k, stride))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    reps=st.sampled_from([("trivial", "regular"), ("regular", "regular"), ("irrep", "trivial"), ("regular", "irrep")]),
+    m=st.integers(1, 3),
+    s=st.sampled_from([1, 3, 5]),
+    dh=st.integers(0, 5),
+    dw=st.integers(0, 5),
+    tile=st.sampled_from([COLUMN_TILE, 1, 40, 300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_property_matches_loop_and_is_linear(reps, m, s, dh, dw, tile, seed):
+    if dh == dw:
+        dw += 1  # H != W
+    d2 = dihedral_group(2)
+    by_name = {"trivial": trivial_rep(d2), "irrep": irrep(d2, 1, 0), "regular": regular_rep(d2)}
+    rin, rout = by_name[reps[0]], by_name[reps[1]]
+    rng = np.random.default_rng(seed)
+    grids = rng.uniform(-1, 1, (rout.dim, rin.dim, s, s))
+    kernel = SteerableKernel(d2, rin, rout, grids, "bilinear")
+    x, y = rng.uniform(-1, 1, (2, m * rin.dim, s + dh, s + dw))
+    a, b = rng.uniform(-2, 2, 2)
+    # small tiles split even these maps into bands of a few rows
+    with mock.patch.object(features, "COLUMN_TILE", tile):
+        cx, cy, cxy = (conv2d(kernel, feature_map(d2, rin, v)).data for v in (x, y, a * x + b * y))
+    assert_allclose(cx, loop_conv2d(grids, x), rtol=0, atol=1e-12)
+    assert_allclose(cxy, a * cx + b * cy, rtol=0, atol=1e-12)

@@ -33,6 +33,25 @@ def test_filter_csv_rejects_bad_header(tmp_path):
         read_filter_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("S=3\n1,2,3\n4,5\n7,8,9\n", 3, "expected 3 values, got 2"),  # ragged row
+        ("S=3\n1,2,3\n4,x,6\n7,8,9\n", 3, "values must be numbers"),
+        ("S=abc\n1\n", 1, "S must be a positive integer, got 'abc'"),
+        ("\n\nS=1\n1,2\n", 4, "expected 1 values, got 2"),  # leading blank lines count
+    ],
+    ids=["ragged", "non-numeric", "bad-size", "leading-blank-lines"],
+)
+def test_filter_csv_errors_name_file_and_line(tmp_path, text, where, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_filter_csv(path)
+    assert str(info.value).startswith(f"{path}:{where}: ")
+    assert message in str(info.value)
+
+
 def test_feature_csv_round_trip(tmp_path):
     d4 = dihedral_group(4)
     rng = np.random.default_rng(1)
@@ -52,6 +71,27 @@ def test_feature_csv_rejects_inconsistent_header(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         read_feature_csv(path)
+
+
+@pytest.mark.parametrize(
+    "lines, where, message",
+    [
+        (["C=1,H=1,group=c4,rep=trivial,mult=1", "1"], 1, "header lacks W"),
+        (["C=1,H=1,W=1,group=c4,rep=trivial,mult", "1"], 1, "header item 'mult' is not of the form key=value"),
+        (["C=1,H=x,W=1,group=c4,rep=trivial,mult=1", "1"], 1, "H must be a positive integer, got 'x'"),
+        (["C=2,H=1,W=1,group=c4,rep=irrep:0:y,mult=1", "1", "2"], 1, "bad representation token 'irrep:0:y'"),
+        (["C=1,H=2,W=2,group=c4,rep=trivial,mult=1", "1,2", "3"], 3, "expected 2 values, got 1"),
+        (["C=1,H=1,W=2,group=c4,rep=trivial,mult=1", "1,z"], 2, "values must be numbers"),
+    ],
+    ids=["missing-field", "not-key-value", "bad-int", "bad-rep", "ragged", "non-numeric"],
+)
+def test_feature_csv_errors_name_file_and_line(tmp_path, lines, where, message):
+    path = tmp_path / "feat.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_feature_csv(path)
+    assert str(info.value).startswith(f"{path}:{where}: ")
+    assert message in str(info.value)
 
 
 def test_pgm_output(tmp_path):

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from filtra import features
 from filtra.features import feature_map
 from filtra.filters import coordinate_matrix, sample_plane
 from filtra.groups import cyclic_group, dihedral_group
@@ -48,15 +51,34 @@ def test_feature_check_examples():
     c4 = cyclic_group(4)
     kernel = trivial_to_regular_cyclic(RNG.uniform(-1, 1, (3, 3)), 4)
     f = feature_map(c4, kernel.rep_in, RNG.uniform(-1, 1, (1, 15, 15)))
-    assert check_feature_equivariance(kernel, f, c4.identity()) == (0.0, 0.0)
-    abs_res, _ = check_feature_equivariance(kernel, f, c4.element(0, 2))
+    assert check_feature_equivariance(kernel, f, [c4.identity()]) == [(0.0, 0.0)]
+    [(abs_res, _)] = check_feature_equivariance(kernel, f, [c4.element(0, 2)])
     assert abs_res <= 1e-10
 
     d4 = dihedral_group(4)
     kernel = regular_to_regular_dihedral([RNG.uniform(-1, 1, (3, 3)) for _ in range(6)], 4)
     f = feature_map(d4, kernel.rep_in, RNG.uniform(-1, 1, (8, 15, 15)))
-    abs_res, _ = check_feature_equivariance(kernel, f, d4.element(1, 1))
+    [(abs_res, _)] = check_feature_equivariance(kernel, f, [d4.element(1, 1)])
     assert abs_res <= 1e-10
+
+
+@pytest.mark.parametrize("tile", [features.COLUMN_TILE, 6000], ids=["default-tile", "small-tile"])
+@pytest.mark.parametrize("group", [cyclic_group(8), dihedral_group(4)], ids=lambda g: g.name)
+def test_batched_feature_check_equals_one_element_calls(group, tile):
+    rng = np.random.default_rng(17)
+    # the small tile cuts the 15 rows of regular-rep columns into bands of
+    # two and irrep columns into bands of nine, each ending short; the identity
+    # sits inside the batch, between non-trivial elements
+    elements = group.elements()[1:3] + [group.identity()] + group.elements()[3:]
+    with mock.patch.object(features, "COLUMN_TILE", tile):
+        for label, kernel in kernel_families(group, 5, "bilinear", rng):
+            f = feature_map(group, kernel.rep_in, rng.uniform(-1, 1, (2 * kernel.rep_in.dim, 15, 13)))
+            batched = check_feature_equivariance(kernel, f, elements)
+            single = [check_feature_equivariance(kernel, f, [g])[0] for g in elements]
+            assert len(batched) == len(elements)
+            assert np.array(batched).tobytes() == np.array(single).tobytes(), label
+            assert batched[2] == (0.0, 0.0), label
+    assert check_feature_equivariance(kernel, f, []) == []
 
 
 def test_is_exact_element():

@@ -63,6 +63,25 @@ def test_regular_rep_examples():
     )
 
 
+def test_regular_rep_matrix_is_cached_and_read_only():
+    for spec in (cyclic_group(4), dihedral_group(1), dihedral_group(3)):
+        for g in spec.elements():
+            rho = regular_rep_matrix(g)
+            assert not rho.flags.writeable
+            assert regular_rep_matrix(spec.element(g.i0, g.i1)) is rho
+            with pytest.raises(ValueError):
+                rho[0, 0] = 2.0
+    assert_array_equal(regular_rep_matrix(cyclic_group(4).identity()), np.eye(4))
+    assert_array_equal(regular_rep_matrix(dihedral_group(1).element(1, 0)), [[0, 1], [1, 0]])
+    d3 = dihedral_group(3)
+    expected = np.zeros((6, 6))
+    expected[:3, 3:] = expected[3:, :3] = reflection_permutation(3, 2)
+    assert_array_equal(regular_rep_matrix(d3.element(1, 2)), expected)
+    expected = np.zeros((6, 6))
+    expected[:3, :3] = expected[3:, 3:] = rotation_permutation(3, 1)
+    assert_array_equal(regular_rep_matrix(d3.element(0, 1)), expected)
+
+
 def test_irrep_examples():
     assert_array_equal(irrep_matrix(cyclic_group(8).identity(), 0, 1), np.eye(2))
     got = irrep_matrix(cyclic_group(4).element(0, 1), 0, 1)
