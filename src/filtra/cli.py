@@ -50,6 +50,14 @@ def _odd_size(value: str | int) -> int:
     return size
 
 
+def _element_index(value: str) -> int:
+    """One index of the i0,i1 pair given to --element."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"--element expects two integers i0,i1, got {value!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filtra",
@@ -104,6 +112,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for option, items in lists.items():
         if not items:
             raise ValueError(f"--{option} names no values; the suite would check nothing")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     groups = tuple(parse_group(name) for name in lists["group"])
     sizes = tuple(_odd_size(s) for s in lists["size"])
     modes = tuple(lists["mode"])
@@ -176,7 +186,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     parts = _comma_list(args.element)
     if len(parts) != 2:
         raise ValueError(f"--element expects i0,i1, got {args.element!r}")
-    g = spec.element(int(parts[0]), int(parts[1]))
+    g = spec.element(*(_element_index(part) for part in parts))
     rho = regular_rep_matrix(g)
     basis, d = decompose_regular(g)
     residual = float(np.abs(basis.matrix @ d @ basis.inverse() - rho).max())
@@ -252,6 +262,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"filtra: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # numpy's message names array shapes, not the option that caused them
+        print(f"filtra: error: {args.command}: out of memory; try a smaller group or size", file=sys.stderr)
         return 2
 
 

@@ -16,6 +16,7 @@ k * k in-place maxima over strided slices of the padded map.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,18 +106,35 @@ def conv2d(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
     return FeatureMap(f.group, kernel.rep_out, out.reshape(m * do, h, w))
 
 
+def act_on_feature_stack(
+    elements: Sequence[GroupElement], f: FeatureMap, mode: str = "bilinear"
+) -> np.ndarray:
+    """The acted copies g . f for each element in order, as one
+    (len(elements), C, H, W) array.
+
+    Every channel is resampled at the coordinates moved by each g's inverse
+    in one gather, then each copy's channel blocks are mixed by the
+    representation of its g.  Each copy equals `act_on_feature(g, f, mode)`
+    bit for bit.
+    """
+    check_mode(mode)
+    for g in elements:
+        if g.spec != f.group:
+            raise ValueError(f"element of {g.spec.name} acting on a {f.group.name} feature")
+    n, m, d = len(elements), f.multiplicity, f.rep.dim
+    maps = np.array([coordinate_matrix(g.inverse()) for g in elements]).reshape(n, 2, 2)
+    # (C, n, H, W) from the gather; each copy's blocks made contiguous
+    moved = sample_plane(f.data, maps, mode).swapaxes(0, 1)
+    moved = np.ascontiguousarray(moved).reshape(n, m, d, f.height, f.width)
+    rho = np.array([f.rep.matrix(g) for g in elements]).reshape(n, d, d)
+    mixed = np.einsum("nab,nmbhw->nmahw", rho, moved)
+    return mixed.reshape(n, *f.data.shape)
+
+
 def act_on_feature(g: GroupElement, f: FeatureMap, mode: str = "bilinear") -> FeatureMap:
     """Group action on a feature map: resample each channel at the coordinates
     moved by g's inverse, then mix channel blocks by the representation of g."""
-    check_mode(mode)
-    if g.spec != f.group:
-        raise ValueError(f"element of {g.spec.name} acting on a {f.group.name} feature")
-    inv_matrix = coordinate_matrix(g.inverse())
-    moved = sample_plane(f.data, inv_matrix, mode)
-    rho = f.rep.matrix(g)
-    m, d = f.multiplicity, f.rep.dim
-    mixed = np.einsum("ab,mbhw->mahw", rho, moved.reshape(m, d, f.height, f.width))
-    return FeatureMap(f.group, f.rep, mixed.reshape(f.data.shape))
+    return FeatureMap(f.group, f.rep, act_on_feature_stack([g], f, mode)[0])
 
 
 def relu_channelwise(f: FeatureMap) -> FeatureMap:

@@ -6,10 +6,16 @@ pixel sits at the origin, x grows rightward (columns), y grows upward (rows
 decrease).  Samples outside the grid read as zero.
 
 Resampling through a linear coordinate map is a fixed sparse linear map on
-the pixels: one tap per pixel for nearest, four for bilinear.  Its taps
-(flat source index and weight) are built once per (grid size, map, mode)
-and kept in a bounded cache, so each later call is a gather and a weighted
-sum.
+the pixels: one tap per pixel for nearest, up to four for bilinear.
+`sample_plane` takes a whole stack of maps at once, so N rotated copies, or
+the acted copies of a feature map, come from one gather.  The taps (flat
+source index and weight) are built once per (grid size, stack of maps,
+mode) and kept in a cache bounded in entries and in bytes, so each later
+call is a gather and a weighted sum.  A bilinear tap plane whose weight is 0
+at every pixel of the stack is dropped when the taps are built: adding
+0 * value to a partial sum that starts from +0.0 changes no bits for finite
+values, and a map that lands on grid points (a quarter turn, a reflection)
+then costs one gather instead of four.
 
 Rotation angles are exact rationals: a group element rotates by the turn
 i1/N, reduced to lowest terms before cos/sin are evaluated, and near-integer
@@ -20,11 +26,12 @@ permutations.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +41,6 @@ MODES = ("bilinear", "nearest")
 
 _MAX_TURN_DENOMINATOR = 720
 _SNAP_EPS = 1e-12
-# a D_N suite over a few sizes and both modes needs a few hundred tap sets
-_TAP_CACHE_SIZE = 1024
 
 
 def check_mode(mode: str) -> str:
@@ -83,20 +88,65 @@ def _round_half_down(x: np.ndarray) -> np.ndarray:
     return np.ceil(x - 0.5).astype(int)
 
 
-@functools.lru_cache(maxsize=_TAP_CACHE_SIZE)
-def _sample_taps(
-    h: int, w: int, matrix: tuple[float, float, float, float], mode: str
+class _TapCacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+    nbytes: int
+    maxbytes: int
+
+
+class _TapCache:
+    """Least recently used tap sets, bounded in entries and in bytes.  A tap
+    set larger than the byte bound is built on every call and never kept."""
+
+    def __init__(self, build, maxsize: int, maxbytes: int) -> None:
+        self._build = build
+        self.maxsize, self.maxbytes = maxsize, maxbytes
+        self._entries: OrderedDict = OrderedDict()
+        self.cache_clear()
+
+    def __call__(self, *key):
+        taps = self._entries.get(key)
+        if taps is not None:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return taps
+        self.misses += 1
+        taps = self._build(*key)
+        size = sum(t.nbytes for t in taps)
+        if size <= self.maxbytes:
+            self._entries[key] = taps
+            self.nbytes += size
+            while len(self._entries) > self.maxsize or self.nbytes > self.maxbytes:
+                self.nbytes -= sum(t.nbytes for t in self._entries.popitem(last=False)[1])
+        return taps
+
+    def cache_info(self) -> _TapCacheInfo:
+        return _TapCacheInfo(self.hits, self.misses, self.maxsize, len(self._entries), self.nbytes, self.maxbytes)
+
+    def cache_clear(self) -> None:
+        self._entries.clear()
+        self.hits = self.misses = self.nbytes = 0
+
+
+def _build_taps(
+    h: int, w: int, matrices: tuple[float, ...], mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The taps of `sample_plane` on an h x w grid: flat source indices and,
-    per tap, the bilinear weight (0 outside the grid) or the nearest-mode
-    inside mask.  Shapes (h*w,) for nearest, (4, h*w) for bilinear."""
-    m00, m01, m10, m11 = matrix
+    """The taps of `sample_plane` for a stack of n maps (flattened row-major
+    into `matrices`) on an h x w grid: flat source indices and, per tap, the
+    bilinear weight (0 outside the grid) or the nearest-mode inside mask.
+    Shapes (n*h*w,) for nearest and (planes, n*h*w) for bilinear, where the
+    planes are the four bilinear corners in a fixed order less those whose
+    weight is 0 everywhere, and never fewer than one."""
+    m = np.array(matrices, dtype=float).reshape(-1, 2, 2, 1, 1)
     cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
     rows, cols = np.indices((h, w))
     x = cols - cc
     y = cr - rows
-    sx = m00 * x + m01 * y
-    sy = m10 * x + m11 * y
+    sx = m[:, 0, 0] * x + m[:, 0, 1] * y
+    sy = m[:, 1, 0] * x + m[:, 1, 1] * y
     fr = cr - sy
     fc = sx + cc
 
@@ -112,46 +162,59 @@ def _sample_taps(
         c0 = np.floor(fc).astype(int)
         dr = fr - r0
         dc = fc - c0
-        index = np.empty((4, h * w), dtype=np.int32)
-        weight = np.empty((4, h * w))
+        planes = []
         row_taps = ((r0, 1.0 - dr), (r0 + 1, dr))
         col_taps = ((c0, 1.0 - dc), (c0 + 1, dc))
-        for t, ((rr, wr), (c_, wc)) in enumerate(itertools.product(row_taps, col_taps)):
-            index[t], inside = flat_index(rr, c_)
-            weight[t] = np.where(inside, (wr * wc).ravel(), 0.0)
+        for (rr, wr), (c_, wc) in itertools.product(row_taps, col_taps):
+            idx, inside = flat_index(rr, c_)
+            planes.append((idx, np.where(inside, (wr * wc).ravel(), 0.0)))
+        kept = [plane for plane in planes if plane[1].any()] or planes[:1]
+        index = np.stack([idx for idx, _ in kept])
+        weight = np.stack([wt for _, wt in kept])
     index.setflags(write=False)
     weight.setflags(write=False)
     return index, weight
 
 
-def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarray:
-    """Resample a grid through a linear coordinate map.
+# a D_N suite over a few sizes and both modes needs a few hundred tap sets;
+# the byte bound keeps a few large stacks from holding memory
+_sample_taps = _TapCache(_build_taps, maxsize=1024, maxbytes=32 << 20)
 
-    out[..., r, c] = values interpolated at matrix @ (x, y) for the centered
-    coordinates (x, y) of pixel (r, c); points outside the grid read 0.
-    Leading dimensions of `values` are batched over the same coordinate map.
-    The taps are built once per (h, w, matrix, mode) and cached; bilinear
-    taps are summed in a fixed order starting from zero.
+
+def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarray:
+    """Resample a grid through a stack of linear coordinate maps.
+
+    `matrix` has shape (..., 2, 2); a single (2, 2) map is the empty stack.
+    out[..., i, r, c] = values[...] interpolated at matrix[i] @ (x, y) for the
+    centered coordinates (x, y) of pixel (r, c); points outside the grid read
+    0.  The output has shape values.shape[:-2] + matrix.shape[:-2] + (h, w):
+    leading dimensions of `values` are batched over every map of the stack.
+    The taps are built once per (h, w, stack, mode) and cached; bilinear taps
+    are summed in a fixed order starting from zero, so each map of a stack
+    gives the same bits as a call with that map alone.
     """
     check_mode(mode)
     values = np.asarray(values, dtype=float)
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim < 2 or matrix.shape[-2:] != (2, 2):
+        raise ValueError(f"coordinate maps must have shape (..., 2, 2), got {matrix.shape}")
     h, w = values.shape[-2:]
-    key = tuple(np.asarray(matrix, dtype=float).ravel().tolist())
-    index, weight = _sample_taps(h, w, key, mode)
+    index, weight = _sample_taps(h, w, tuple(matrix.ravel().tolist()), mode)
     flat = values.reshape(*values.shape[:-2], h * w)
+    shape = values.shape[:-2] + matrix.shape[:-2] + (h, w)
     if mode == "nearest":
-        return np.where(weight, flat[..., index], 0.0).reshape(values.shape)
-    out = np.zeros_like(flat)
+        return np.where(weight, flat[..., index], 0.0).reshape(shape)
+    out = np.zeros(flat.shape[:-1] + index.shape[1:])
     for idx, wt in zip(index, weight):
         tap = flat[..., idx]
         tap *= wt
         out += tap
-    return out.reshape(values.shape)
+    return out.reshape(shape)
 
 
-def _rotated(values: np.ndarray, c: float, s: float, mode: str) -> np.ndarray:
+def _inverse_rotation(c: float, s: float) -> list[list[float]]:
     # out(x) = f(R(-theta) x) for the rotation with cosine c and sine s
-    return sample_plane(values, np.array([[c, s], [-s, c]]), mode)
+    return [[c, s], [-s, c]]
 
 
 def resample_rotate(values: np.ndarray, theta: float, mode: str = "bilinear") -> np.ndarray:
@@ -168,7 +231,7 @@ def resample_rotate(values: np.ndarray, theta: float, mode: str = "bilinear") ->
         c, s = rotation_cos_sin(frac.numerator, frac.denominator)
     else:
         c, s = _snapped_cos_sin(theta)
-    return _rotated(values, c, s, mode)
+    return sample_plane(values, _inverse_rotation(c, s), mode)
 
 
 def resample_reflect(values: np.ndarray) -> np.ndarray:
@@ -216,12 +279,13 @@ class FilterStack:
 
 def rotation_stack(base: np.ndarray, n: int, mode: str = "bilinear") -> FilterStack:
     """Stack entry m is the base filter rotated counter-clockwise by 2*pi*m/N;
-    entry 0 is the base itself."""
+    entry 0 is the base itself.  The N - 1 rotations are one resampling call."""
     base = check_filter_grid(base)
     check_mode(mode)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    entries = np.stack([base] + [_rotated(base, *rotation_cos_sin(m, n), mode) for m in range(1, n)])
+    maps = np.reshape([_inverse_rotation(*rotation_cos_sin(m, n)) for m in range(1, n)], (n - 1, 2, 2))
+    entries = np.concatenate([base[None], sample_plane(base, maps, mode)])
     return FilterStack(GroupSpec(1, n), entries, False, mode)
 
 

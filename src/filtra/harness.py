@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMap, act_on_feature, conv2d
+from .features import FeatureMap, act_on_feature_stack, conv2d
 from .filters import coordinate_matrix, rotation_cos_sin, sample_plane
 from .groups import GroupElement, GroupSpec, cyclic_group, dihedral_group
 from .kernels import (
@@ -73,28 +73,28 @@ def check_feature_equivariance(
     """Max-abs and relative residual between conv-then-act and act-then-conv,
     on the interior crop, for each element in order.
 
-    `f` is convolved once; the acted copies of `f` are stacked along the
-    multiplicity axis and convolved in one call.  conv2d computes each block
-    independently of the others, so every pair equals a one-element call bit
-    for bit.  Boundary pixels mix with zero padding under the action, so a
-    margin of half the kernel size is excluded on each side.
+    `f` is convolved once.  The acted copies of `f` come from one stacked
+    action, are stacked along the multiplicity axis and convolved in one
+    call; the acted copies of the convolved map come from a second stacked
+    action.  Both the action and conv2d compute each copy independently of
+    the others, so every pair equals a one-element call bit for bit.
+    Boundary pixels mix with zero padding under the action, so a margin of
+    half the kernel size is excluded on each side.
     """
     if not elements:
         return []
     mode = kernel.mode
     n, (c, h, w) = len(elements), f.data.shape
-    acted = np.empty((n, c, h, w))
-    for copy, g in zip(acted, elements):
-        copy[...] = act_on_feature(g, f, mode).data
+    acted = act_on_feature_stack(elements, f, mode)
     acted_first = conv2d(kernel, FeatureMap(f.group, f.rep, acted.reshape(n * c, h, w))).data
-    convolved = conv2d(kernel, f)
+    acted_last = act_on_feature_stack(elements, conv2d(kernel, f), mode)
     m = kernel.size // 2
     sl = (slice(None), slice(m, h - m), slice(m, w - m))
     results = []
-    for first, g in zip(acted_first.reshape(n, -1, h, w), elements):
-        acted_last = act_on_feature(g, convolved, mode).data[sl]
-        abs_res = float(np.abs(first[sl] - acted_last).max())
-        scale = float(np.abs(acted_last).max())
+    for first, last in zip(acted_first.reshape(acted_last.shape), acted_last):
+        first, last = first[sl], last[sl]
+        abs_res = float(np.abs(first - last).max())
+        scale = float(np.abs(last).max())
         rel_res = 0.0 if abs_res == 0.0 else abs_res / scale if scale > 0.0 else 0.0
         results.append((abs_res, rel_res))
     return results

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import filtra
+import filtra.cli
 from filtra.cli import main
 from filtra.fileio import write_filter_csv
 
@@ -153,6 +154,35 @@ def test_decompose_text_and_csv(capsys):
 
 def test_decompose_bad_element(capsys):
     assert main(["decompose", "--group", "c4", "--element", "7"]) == 2
+
+
+@pytest.mark.parametrize("element", ["0,x", "x,0", "0,1.5"])
+def test_decompose_non_integer_element_names_option(element, capsys):
+    assert main(["decompose", "--group", "c4", "--element", element]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = next(part for part in element.split(",") if not part.isdigit())
+    assert captured.err == f"filtra: error: --element expects two integers i0,i1, got {bad!r}\n"
+
+
+def test_verify_rejects_negative_seed(capsys):
+    assert main(["verify", "--group", "c4", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "filtra: error: --seed must be a non-negative integer, got -1\n"
+
+
+def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    def no_memory(g):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(filtra.cli, "regular_rep_matrix", no_memory)
+    assert main(["decompose", "--group", "c100000", "--element", "0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("filtra: error: decompose")
+    assert "allocate" not in captured.err and "shape" not in captured.err
 
 
 def test_demo(base_csv, tmp_path, capsys):

@@ -10,13 +10,15 @@ from filtra import features
 from filtra.features import (
     COLUMN_TILE,
     act_on_feature,
+    act_on_feature_stack,
     conv2d,
     feature_map,
     group_pool,
     pool_spatial,
     relu_channelwise,
 )
-from filtra.groups import cyclic_group, dihedral_group
+from filtra.filters import coordinate_matrix, sample_plane
+from filtra.groups import cyclic_group, dihedral_group, parse_group
 from filtra.kernels import SteerableKernel, trivial_to_regular_cyclic
 from filtra.representations import irrep, regular_rep, trivial_rep
 
@@ -126,6 +128,48 @@ def test_act_irrep_rotates_vectors():
     spun = np.stack([np.rot90(ch) for ch in data])
     expected = np.einsum("ab,bhw->ahw", np.array([[0.0, -1.0], [1.0, 0.0]]), spun)
     assert_allclose(out.data, expected, atol=1e-12)
+
+
+def one_element_action(g, f, mode):
+    """The group action written out for a single element: one resampling
+    pass, then the channel blocks mixed by the representation of g."""
+    moved = sample_plane(f.data, coordinate_matrix(g.inverse()), mode)
+    m, d = f.multiplicity, f.rep.dim
+    mixed = np.einsum("ab,mbhw->mahw", f.rep.matrix(g), moved.reshape(m, d, f.height, f.width))
+    return mixed.reshape(f.data.shape)
+
+
+@pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+@pytest.mark.parametrize("name", ["c8", "d6", "c12"])
+def test_stacked_action_equals_one_element_actions(name, mode):
+    spec = parse_group(name)
+    n = spec.rotation_order
+    js = (0,) if spec.reflection_order == 1 else (0, 1)
+    reps = [trivial_rep(spec), regular_rep(spec)] + [irrep(spec, j, k) for j in js for k in range(n // 2 + 1)]
+    rng = np.random.default_rng(n)
+    elements = spec.elements()
+    # exact (quarter turns, reflections) and non-exact elements, in a shuffled order
+    order = [elements[i] for i in rng.permutation(len(elements))]
+    for rep in reps:
+        for m, (h, w) in ((1, (9, 9)), (2, (7, 11))):
+            f = feature_map(spec, rep, rng.uniform(-1, 1, (m * rep.dim, h, w)))
+            stacked = act_on_feature_stack(order, f, mode)
+            assert stacked.shape == (len(order), m * rep.dim, h, w)
+            for copy, g in zip(stacked, order):
+                single = act_on_feature(g, f, mode)
+                assert single.rep == rep and single.data.shape == f.data.shape
+                assert copy.tobytes() == single.data.tobytes(), (rep, g)
+                assert copy.tobytes() == one_element_action(g, f, mode).tobytes(), (rep, g)
+
+
+def test_stacked_action_edge_cases():
+    c4, d4 = cyclic_group(4), dihedral_group(4)
+    f = feature_map(c4, regular_rep(c4), np.ones((4, 5, 5)))
+    assert act_on_feature_stack([], f).shape == (0, 4, 5, 5)
+    with pytest.raises(ValueError, match="acting on"):
+        act_on_feature_stack([c4.identity(), d4.identity()], f)
+    with pytest.raises(ValueError, match="interpolation mode"):
+        act_on_feature_stack([c4.identity()], f, "bicubic")
 
 
 def test_relu():

@@ -1,5 +1,11 @@
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from filtra.features import feature_map
@@ -21,6 +27,35 @@ def test_filter_csv_round_trip(tmp_path):
     write_filter_csv(path, values)
     assert path.read_text().splitlines()[0] == "S=5"
     assert_array_equal(read_filter_csv(path), values)
+
+
+EXTREME_FLOATS = [
+    -0.0,
+    0.0,
+    5e-324,
+    -5e-324,
+    sys.float_info.min * (1 - 2**-52),  # the largest subnormal
+    sys.float_info.min,
+    1e308,
+    -1e308,
+    sys.float_info.max,
+    -sys.float_info.max,
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    side=st.sampled_from([1, 3, 5]),
+    data=st.data(),
+)
+def test_filter_csv_round_trip_is_bit_exact_property(side, data):
+    value = st.sampled_from(EXTREME_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array(data.draw(st.lists(value, min_size=side * side, max_size=side * side)))
+    values = values.reshape(side, side)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        write_filter_csv(path, values)
+        assert read_filter_csv(path).tobytes() == values.tobytes()
 
 
 def test_filter_csv_rejects_bad_header(tmp_path):

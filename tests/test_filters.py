@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from filtra.filters import (
+    _build_taps,
     _round_half_down,
     _sample_taps,
+    _TapCache,
     check_filter_grid,
     coordinate_matrix,
     reflected_rotation_stack,
@@ -241,25 +245,135 @@ def test_sample_plane_matches_per_pixel_reference(mode):
         assert got.tobytes() == want.tobytes(), (shape, matrix, mode)
 
 
+def _key(matrix):
+    return tuple(np.asarray(matrix, dtype=float).ravel().tolist())
+
+
 def test_sample_plane_taps_are_cached_read_only_and_bounded():
     rng = np.random.default_rng(14)
     values = rng.uniform(-1.0, 1.0, (3, 7, 7))
-    matrix = coordinate_matrix(dihedral_group(8).element(1, 3))
+    d8 = dihedral_group(8)
+    matrix = coordinate_matrix(d8.element(1, 3))
+    stack = np.array([coordinate_matrix(g) for g in d8.elements()]).reshape(4, 4, 2, 2)
     for mode in ("bilinear", "nearest"):
-        _sample_taps.cache_clear()
-        first = sample_plane(values, matrix, mode)
-        assert _sample_taps.cache_info().currsize == 1
-        again = sample_plane(values, matrix, mode)
-        assert _sample_taps.cache_info().hits == 1
-        assert again.tobytes() == first.tobytes()
-        for taps in _sample_taps(7, 7, tuple(matrix.ravel().tolist()), mode):
-            assert not taps.flags.writeable
-            with pytest.raises(ValueError):
-                taps[..., 0] = 0
-    maxsize = _sample_taps.cache_info().maxsize
-    assert maxsize is not None
+        for maps in (matrix, stack):
+            _sample_taps.cache_clear()
+            first = sample_plane(values, maps, mode)
+            assert _sample_taps.cache_info().currsize == 1
+            again = sample_plane(values, maps, mode)
+            assert _sample_taps.cache_info().hits == 1
+            assert again.tobytes() == first.tobytes()
+            taps = _sample_taps(7, 7, _key(maps), mode)
+            assert _sample_taps.cache_info().nbytes == sum(t.nbytes for t in taps)
+            for t in taps:
+                assert not t.flags.writeable
+                with pytest.raises(ValueError):
+                    t[..., 0] = 0
+    info = _sample_taps.cache_info()
+    assert info.maxsize is not None and info.maxbytes is not None
     for side in range(1, 41):
         for width in range(1, 41):
-            sample_plane(np.ones((side, width)), matrix, "nearest")
-    assert side * width > maxsize
-    assert _sample_taps.cache_info().currsize <= maxsize
+            sample_plane(np.ones((side, width)), stack[:, :1], "nearest")
+    assert side * width > info.maxsize
+    info = _sample_taps.cache_info()
+    assert info.currsize <= info.maxsize and info.nbytes <= info.maxbytes
+
+
+def test_tap_cache_bounds_bytes_and_keeps_no_oversized_stack():
+    quarter = coordinate_matrix(cyclic_group(4).element(0, 1))
+    one = sum(t.nbytes for t in _build_taps(9, 9, _key(quarter), "bilinear"))
+    cache = _TapCache(_build_taps, maxsize=100, maxbytes=3 * one)
+    for n in (1, 2, 3):
+        cache(9, 9, _key([quarter] * n), "bilinear")
+    # a 3-map stack fills the byte bound alone, so the two smaller sets go
+    assert cache.cache_info().currsize == 1 and cache.cache_info().nbytes == 3 * one
+    taps = cache(9, 9, _key([quarter] * 4), "bilinear")
+    assert taps[0].shape == (1, 4 * 81)
+    assert cache.cache_info().currsize == 1 and cache.cache_info().nbytes == 3 * one
+    cache(9, 9, _key([quarter] * 4), "bilinear")
+    assert cache.cache_info().hits == 0 and cache.cache_info().misses == 5
+    cache(9, 9, _key([quarter] * 3), "bilinear")
+    assert cache.cache_info().hits == 1
+
+
+def _stack_matrices(rng, n):
+    """n maps: group elements of D_8 and D_6 (exact and not), plus random ones."""
+    pool = [coordinate_matrix(g) for spec in (dihedral_group(8), dihedral_group(6)) for g in spec.elements()]
+    out = []
+    for _ in range(n):
+        if rng.uniform() < 0.6:
+            out.append(pool[rng.integers(len(pool))])
+        else:
+            out.append(rng.uniform(-1.3, 1.3, (2, 2)))
+    return np.array(out).reshape(n, 2, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    stack=st.sampled_from([(0,), (1,), (3,), (2, 3), (7,)]),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    mode=st.sampled_from(["bilinear", "nearest"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_sample_plane_equals_per_matrix_calls(lead, stack, h, w, mode, seed):
+    if h == w:
+        w += 1  # H != W
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, lead + (h, w))
+    values.flat[rng.integers(values.size)] = -0.0
+    maps = _stack_matrices(rng, int(np.prod(stack))).reshape(stack + (2, 2))
+    got = sample_plane(values, maps, mode)
+    assert got.shape == lead + stack + (h, w)
+    for i in np.ndindex(*stack):
+        want = sample_plane(values, maps[i], mode)
+        assert got[(Ellipsis,) + i + (slice(None), slice(None))].tobytes() == want.tobytes(), (i, maps[i])
+        if h * w <= 20:
+            assert want.tobytes() == _reference_sample_plane(values, maps[i], mode).tobytes()
+
+
+def test_sample_plane_rejects_non_square_maps():
+    with pytest.raises(ValueError, match="2, 2"):
+        sample_plane(GRID3, np.eye(3), "bilinear")
+    with pytest.raises(ValueError, match="2, 2"):
+        sample_plane(GRID3, np.ones(4), "bilinear")
+
+
+@pytest.mark.parametrize("mode", ("bilinear", "nearest"))
+@pytest.mark.parametrize("size", (1, 3, 5, 9))
+def test_rotation_stack_matches_per_rotation_reference(mode, size):
+    base = np.random.default_rng(size).uniform(-1.0, 1.0, (size, size))
+    base[0, 0] = -0.0
+    for n in (1, 2, 3, 4, 6, 8, 12, 16, 24):
+        entries = rotation_stack(base, n, mode).entries
+        assert entries.shape == (n, size, size)
+        assert entries[0].tobytes() == base.tobytes()
+        for m in range(1, n):
+            c, s = rotation_cos_sin(m, n)
+            want = _reference_sample_plane(base, np.array([[c, s], [-s, c]]), mode)
+            assert entries[m].tobytes() == want.tobytes(), (n, m)
+        reflected = reflected_rotation_stack(base, n, mode).entries
+        assert reflected.tobytes() == rotation_stack(base[::-1], n, mode).entries.tobytes()
+
+
+def test_grid_exact_bilinear_maps_keep_one_tap_plane():
+    # every element of D_4 sends the integer centred coordinates of an odd
+    # grid to integer ones, on or off the grid
+    exact = [coordinate_matrix(g) for g in dihedral_group(4).elements()]
+    for h, w in ((5, 5), (9, 9), (1, 1), (3, 7)):
+        for matrix in exact:
+            index, weight = _sample_taps(h, w, _key(matrix), "bilinear")
+            assert index.shape == weight.shape == (1, h * w)
+        # a stack of such maps is one gather too
+        assert _sample_taps(h, w, _key(exact), "bilinear")[0].shape == (1, 8 * h * w)
+    # on a square grid they are permutations: one plane of weight 1
+    index, weight = _sample_taps(7, 7, _key(exact), "bilinear")
+    assert index.shape == (1, 8 * 49) and np.all(weight == 1.0)
+    eighth = coordinate_matrix(dihedral_group(8).element(0, 1))
+    assert _sample_taps(7, 7, _key(eighth), "bilinear")[0].shape == (4, 49)
+    # a map that sends every pixel off the grid keeps one all-zero plane (an
+    # even grid has no pixel at the origin, which every linear map fixes)
+    index, weight = _sample_taps(4, 2, _key(50.0 * np.eye(2)), "bilinear")
+    assert index.shape == (1, 8) and not weight.any()
+    assert sample_plane(np.ones((4, 2)), 50.0 * np.eye(2), "bilinear").tobytes() == np.zeros((4, 2)).tobytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from filtra.groups import cyclic_group, dihedral_group
@@ -136,6 +138,30 @@ def test_orthogonality_c8_d8():
             for g in spec.elements():
                 m = rep.matrix(g)
                 assert_allclose(m @ m.T, np.eye(rep.dim), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    dihedral=st.booleans(),
+    kind=st.sampled_from(["trivial", "irrep", "regular"]),
+    data=st.data(),
+)
+def test_homomorphism_and_orthogonality_property(n, dihedral, kind, data):
+    spec = dihedral_group(n) if dihedral else cyclic_group(n)
+    if kind == "irrep":
+        j = data.draw(st.integers(0, spec.reflection_order - 1), label="j")
+        rep = irrep(spec, j, data.draw(st.integers(0, n // 2), label="k"))
+    else:
+        rep = RepSpec(kind, spec)
+    element = st.builds(spec.element, st.integers(0, spec.reflection_order - 1), st.integers(0, n - 1))
+    g, h = data.draw(element, label="g"), data.draw(element, label="h")
+    rho_g, rho_h = rep.matrix(g), rep.matrix(h)
+    assert rho_g.shape == (rep.dim, rep.dim)
+    assert_allclose(rep.matrix(g.compose(h)), rho_g @ rho_h, rtol=0, atol=1e-12)
+    assert_allclose(rep.matrix(spec.identity()), np.eye(rep.dim), rtol=0, atol=0)
+    assert_allclose(rho_g @ rho_g.T, np.eye(rep.dim), rtol=0, atol=1e-12)
+    assert_allclose(rep.matrix(g.inverse()), rho_g.T, rtol=0, atol=1e-12)
 
 
 def test_frequency_columns_examples():
