@@ -186,7 +186,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     parts = _comma_list(args.element)
     if len(parts) != 2:
         raise ValueError(f"--element expects i0,i1, got {args.element!r}")
-    g = spec.element(*(_element_index(part) for part in parts))
+    i0, i1 = (_element_index(part) for part in parts)
+    try:
+        g = spec.element(i0, i1)
+    except ValueError as exc:
+        raise ValueError(f"--element {args.element!r}: {exc}") from None
     rho = regular_rep_matrix(g)
     basis, d = decompose_regular(g)
     residual = float(np.abs(basis.matrix @ d @ basis.inverse() - rho).max())

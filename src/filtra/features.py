@@ -8,10 +8,18 @@ copies of a representation, multiplicity-major: channel block b spans
 `conv2d` is im2col in row bands: the zero-padded S x S windows of a band of
 output rows are copied as (dim_in * S * S, rows * W) columns into one reused
 buffer of about COLUMN_TILE doubles, then multiplied by the kernel flattened
-to (dim_out, dim_in * S * S) straight into the output.  The band height
-depends only on dim_in * S * S and W, so a block's result does not depend on
-how many blocks are convolved with it.  `pool_spatial` is a strided max:
-k * k in-place maxima over strided slices of the padded map.
+to (dim_out, dim_in * S * S) straight into the output.  The buffer is sized
+to stay in a core's L2 cache between the copy and the product.  The band
+height depends only on dim_in * S * S and W, so a block's result does not
+depend on how many blocks are convolved with it.  `pool_spatial` is a
+separable strided max: k in-place maxima over strided row slices into a
+(C, out_h, W) buffer, then k over its strided column slices; the map is
+copied into a zero-padded one only when the windows run past its edge.
+
+Finiteness is checked where data enters the library, in `feature_map` and
+`fileio.read_feature_csv`.  `FeatureMap` does not scan its data, so maps
+computed inside the library are not scanned again; an overflow there shows
+as inf or nan, which the harness reports as an infinite residual.
 """
 
 from __future__ import annotations
@@ -27,11 +35,13 @@ from .groups import GroupElement, GroupSpec
 from .kernels import SteerableKernel
 from .representations import RepSpec, trivial_rep
 
-# doubles in the im2col band buffer (4 MiB): a band holds as many output rows
-# of columns as fit, and never fewer than one.  BLAS may round a product in
-# the last bits differently at another band width; at this size a 15 x 15 map
-# with up to 1296 column rows (D8 regular, S = 9) is a single band.
-COLUMN_TILE = 1 << 19
+# doubles in the im2col band buffer (512 KiB): a band holds as many output
+# rows of columns as fit, and never fewer than one.  4 MiB bands did not fit a
+# 2 MiB L2 and streamed from memory; at 256 KiB a 15 x 15 map with 1296 column
+# rows (D8 regular, S = 9) becomes one-row bands of 15 columns, where BLAS is
+# slower.  BLAS may round a product in the last bits differently at another
+# band width.
+COLUMN_TILE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,8 +59,6 @@ class FeatureMap:
             raise ValueError(
                 f"channel count {self.data.shape[0]} is not a positive multiple of dim {self.rep.dim}"
             )
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("feature map contains non-finite values")
         self.data.setflags(write=False)
 
     @property
@@ -72,7 +80,11 @@ class FeatureMap:
 
 
 def feature_map(group: GroupSpec, rep: RepSpec, data: np.ndarray) -> FeatureMap:
-    return FeatureMap(group, rep, np.array(data, dtype=float))
+    """A feature map over a copy of `data`, which must be finite."""
+    data = np.array(data, dtype=float)
+    if not np.isfinite(data).all():
+        raise ValueError("feature map contains non-finite values")
+    return FeatureMap(group, rep, data)
 
 
 def conv2d(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
@@ -163,11 +175,13 @@ def pool_spatial(f: FeatureMap, k: int, stride: int) -> FeatureMap:
     ow = max(0, -(-(w - k) // stride)) + 1
     ph = max(0, (oh - 1) * stride + k - h)
     pw = max(0, (ow - 1) * stride + k - w)
-    padded = np.pad(f.data, ((0, 0), (0, ph), (0, pw)))
+    data = np.pad(f.data, ((0, 0), (0, ph), (0, pw))) if ph or pw else f.data
     span_h, span_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
-    # every window covers at least one map pixel, so -inf never survives
-    out = np.full((f.data.shape[0], oh, ow), -np.inf)
-    for u in range(k):
-        for v in range(k):
-            np.maximum(out, padded[:, u : u + span_h : stride, v : v + span_w : stride], out=out)
+    # separable: the max over the k row offsets, then over the k column offsets
+    rows = data[:, :span_h:stride].copy()
+    for u in range(1, k):
+        np.maximum(rows, data[:, u : u + span_h : stride], out=rows)
+    out = rows[:, :, :span_w:stride].copy()
+    for v in range(1, k):
+        np.maximum(out, rows[:, :, v : v + span_w : stride], out=out)
     return FeatureMap(f.group, f.rep, out)

@@ -4,11 +4,14 @@ Filter CSV: first line ``S=<odd int>``, then S lines of S comma-separated
 values.  Feature CSV: one header line
 ``C=<c>,H=<h>,W=<w>,group=<c|d><N>,rep=<trivial|irrep:J:K|regular>,mult=<m>``
 followed by C*H lines of W values, channel-major.  Values are written with 17
-significant digits so round trips are exact.
+significant digits so round trips are exact.  Reading rejects a nan or inf
+value with its file and line: these readers, with `features.feature_map`,
+are where finiteness is checked.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,17 +54,20 @@ def _int_field(where: str, key: str, text: str) -> int:
 
 
 def _value_rows(path: str | Path, lines: list[str], first: int, width: int) -> list[list[float]]:
-    """Parse lines of `width` comma-separated numbers; `first` is the file
-    line number of lines[0]."""
+    """Parse lines of `width` comma-separated finite numbers; `first` is the
+    file line number of lines[0]."""
     rows = []
     for lineno, line in enumerate(lines, start=first):
         items = line.split(",")
         if len(items) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} values, got {len(items)}")
         try:
-            rows.append([float(v) for v in items])
+            row = [float(v) for v in items]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: values must be numbers, got {line!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: values must be finite, got {line!r}")
+        rows.append(row)
     return rows
 
 

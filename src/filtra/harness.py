@@ -61,8 +61,16 @@ def check_kernel_equivariance(kernel: SteerableKernel, g: GroupElement) -> tuple
     # in place: lhs is a fresh array, and two more grid-sized temporaries
     # would raise the peak memory of a large kernel's check
     lhs -= rhs
-    abs_res = float(np.abs(lhs, out=lhs).max())
-    scale = float(max(rhs.max(), -rhs.min()))
+    return _residuals(float(np.abs(lhs, out=lhs).max()), float(max(rhs.max(), -rhs.min())))
+
+
+def _residuals(abs_res: float, scale: float) -> tuple[float, float]:
+    """The max-abs residual and its ratio to `scale`.  A non-finite residual,
+    from an overflow or a nan in either side, is reported as (inf, inf): a
+    nan would compare false against every tolerance and vanish from a
+    running max, so the gate would pass vacuously."""
+    if not math.isfinite(abs_res):
+        return math.inf, math.inf
     rel_res = 0.0 if abs_res == 0.0 else abs_res / scale if scale > 0.0 else 0.0
     return abs_res, rel_res
 
@@ -93,10 +101,7 @@ def check_feature_equivariance(
     results = []
     for first, last in zip(acted_first.reshape(acted_last.shape), acted_last):
         first, last = first[sl], last[sl]
-        abs_res = float(np.abs(first - last).max())
-        scale = float(np.abs(last).max())
-        rel_res = 0.0 if abs_res == 0.0 else abs_res / scale if scale > 0.0 else 0.0
-        results.append((abs_res, rel_res))
+        results.append(_residuals(float(np.abs(first - last).max()), float(np.abs(last).max())))
     return results
 
 
@@ -349,6 +354,30 @@ class SuiteConfig:
     feature_size: int = 15
 
 
+def check_family(label: str, kernel: SteerableKernel, f: FeatureMap) -> EquivarianceReport:
+    """Check one kernel at every group element, and on the square feature
+    map `f` at the elements exact on both the kernel's grid and f's grid."""
+    group, size, mode = kernel.group, kernel.size, kernel.mode
+    per_element = []
+    exact_max = full_max = feature_max = 0.0
+    feature_elements = []
+    for g in group.elements():
+        abs_res, rel_res = check_kernel_equivariance(kernel, g)
+        per_element.append((g, abs_res, rel_res))
+        full_max = max(full_max, abs_res)
+        if is_exact_element(g, size, mode):
+            exact_max = max(exact_max, abs_res)
+            # the feature grid must also map onto itself (the 3x3 eighth-turn
+            # exception does not extend to it)
+            if is_exact_element(g, f.height, mode):
+                feature_elements.append(g)
+    for feat_res, _ in check_feature_equivariance(kernel, f, feature_elements):
+        feature_max = max(feature_max, feat_res)
+    return EquivarianceReport(
+        label, group, size, mode, tuple(per_element), exact_max, full_max, feature_max
+    )
+
+
 def run_suite(config: SuiteConfig) -> list[EquivarianceReport]:
     """Check every kernel family built from seeded random base filters.
 
@@ -357,37 +386,14 @@ def run_suite(config: SuiteConfig) -> list[EquivarianceReport]:
     Deterministic given the seed.
     """
     rng = np.random.default_rng(config.seed)
+    side = config.feature_size
     reports = []
     for group in config.groups:
         for size in config.sizes:
             for mode in config.modes:
                 for label, kernel in kernel_families(group, size, mode, rng):
-                    per_element = []
-                    exact_max = 0.0
-                    full_max = 0.0
-                    feature_max = 0.0
-                    fdata = rng.uniform(
-                        -1.0, 1.0, (kernel.rep_in.dim, config.feature_size, config.feature_size)
-                    )
-                    feat = FeatureMap(group, kernel.rep_in, fdata)
-                    feature_elements = []
-                    for g in group.elements():
-                        abs_res, rel_res = check_kernel_equivariance(kernel, g)
-                        per_element.append((g, abs_res, rel_res))
-                        full_max = max(full_max, abs_res)
-                        if is_exact_element(g, size, mode):
-                            exact_max = max(exact_max, abs_res)
-                            # the feature grid must also map onto itself (the
-                            # 3x3 eighth-turn exception does not extend to it)
-                            if is_exact_element(g, config.feature_size, mode):
-                                feature_elements.append(g)
-                    for feat_res, _ in check_feature_equivariance(kernel, feat, feature_elements):
-                        feature_max = max(feature_max, feat_res)
-                    reports.append(
-                        EquivarianceReport(
-                            label, group, size, mode, tuple(per_element), exact_max, full_max, feature_max
-                        )
-                    )
+                    fdata = rng.uniform(-1.0, 1.0, (kernel.rep_in.dim, side, side))
+                    reports.append(check_family(label, kernel, FeatureMap(group, kernel.rep_in, fdata)))
     return reports
 
 

@@ -154,6 +154,13 @@ def test_decompose_text_and_csv(capsys):
 
 def test_decompose_bad_element(capsys):
     assert main(["decompose", "--group", "c4", "--element", "7"]) == 2
+    # an index out of range for the group names the option and the value
+    for element, index in [("0,9", "rotation index 9"), ("2,0", "reflection index 2")]:
+        capsys.readouterr()
+        assert main(["decompose", "--group", "c4", "--element", element]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"filtra: error: --element {element!r}: {index} out of range for c4\n"
 
 
 @pytest.mark.parametrize("element", ["0,x", "x,0", "0,1.5"])

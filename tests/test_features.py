@@ -39,10 +39,23 @@ def test_feature_map_validation():
     c4 = cyclic_group(4)
     with pytest.raises(ValueError):
         feature_map(c4, regular_rep(c4), np.zeros((3, 5, 5)))  # 3 not a multiple of 4
-    with pytest.raises(ValueError):
-        feature_map(c4, trivial_rep(c4), np.full((1, 5, 5), np.nan))
+    for bad in (np.nan, np.inf, -np.inf):
+        data = np.zeros((4, 5, 5))
+        data[3, 4, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            feature_map(c4, regular_rep(c4), data)
     f = feature_map(c4, regular_rep(c4), np.zeros((8, 5, 5)))
     assert f.multiplicity == 2
+
+
+def test_intermediate_maps_are_not_scanned():
+    # finiteness is checked where data enters (feature_map, read_feature_csv);
+    # a conv that overflows returns inf instead of raising
+    c4 = cyclic_group(4)
+    kernel = SteerableKernel(c4, trivial_rep(c4), trivial_rep(c4), np.full((1, 1, 3, 3), 2.0), "bilinear")
+    with np.errstate(over="ignore"):
+        out = conv2d(kernel, feature_map(c4, trivial_rep(c4), np.full((1, 5, 5), 1e308)))
+    assert np.isposinf(out.data).all()
 
 
 def test_conv_identity():
@@ -320,6 +333,24 @@ def test_pool_spatial_matches_per_pixel_loop(k, stride, h, w, sign):
     data = sign * rng.uniform(0.1, 1.0, (4, h, w))
     out = pool_spatial(feature_map(c4, regular_rep(c4), data), k, stride)
     assert out.rep == regular_rep(c4)
+    assert_array_equal(out.data, loop_pool(data, k, stride))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.integers(1, 12),
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    k=st.integers(1, 4),
+    stride=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pool_spatial_property_matches_loop(c, h, w, k, stride, seed):
+    # all-negative inputs: zero padding wins wherever a window reads it, so a
+    # missed or misplaced pad shows, and maps with and without padding occur
+    data = -np.random.default_rng(seed).uniform(1e-3, 1.0, (c, h, w))
+    c1 = cyclic_group(1)
+    out = pool_spatial(feature_map(c1, trivial_rep(c1), data), k, stride)
     assert_array_equal(out.data, loop_pool(data, k, stride))
 
 

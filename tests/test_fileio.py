@@ -117,8 +117,11 @@ def test_feature_csv_rejects_inconsistent_header(tmp_path):
         (["C=2,H=1,W=1,group=c4,rep=irrep:0:y,mult=1", "1", "2"], 1, "bad representation token 'irrep:0:y'"),
         (["C=1,H=2,W=2,group=c4,rep=trivial,mult=1", "1,2", "3"], 3, "expected 2 values, got 1"),
         (["C=1,H=1,W=2,group=c4,rep=trivial,mult=1", "1,z"], 2, "values must be numbers"),
+        (["C=1,H=2,W=2,group=c4,rep=trivial,mult=1", "1,2", "nan,3"], 3, "values must be finite"),
+        (["C=1,H=1,W=2,group=c4,rep=trivial,mult=1", "-inf,1"], 2, "values must be finite"),
+        (["C=1,H=1,W=2,group=c4,rep=trivial,mult=1", "1,1e999"], 2, "values must be finite"),
     ],
-    ids=["missing-field", "not-key-value", "bad-int", "bad-rep", "ragged", "non-numeric"],
+    ids=["missing-field", "not-key-value", "bad-int", "bad-rep", "ragged", "non-numeric", "nan", "inf", "overflow"],
 )
 def test_feature_csv_errors_name_file_and_line(tmp_path, lines, where, message):
     path = tmp_path / "feat.csv"

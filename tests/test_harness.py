@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from filtra.groups import cyclic_group, dihedral_group
 from filtra.harness import (
     IDENTITY_TOL,
     SuiteConfig,
+    check_family,
     check_feature_equivariance,
     check_kernel_equivariance,
     is_exact_element,
@@ -20,10 +22,12 @@ from filtra.harness import (
     verify_construction_identities,
 )
 from filtra.kernels import (
+    SteerableKernel,
     irrep_to_regular_dihedral,
     regular_to_regular_dihedral,
     trivial_to_regular_cyclic,
 )
+from filtra.representations import irrep, trivial_rep
 
 RNG = np.random.default_rng(11)
 
@@ -45,6 +49,35 @@ def test_kernel_check_reports_interpolation_error():
     abs_res, rel_res = check_kernel_equivariance(kernel, dihedral_group(8).element(0, 1))
     assert abs_res > 1e-6
     assert np.isfinite(abs_res) and np.isfinite(rel_res)
+
+
+def test_overflowing_feature_check_fails_the_report():
+    # 2.0 * 1e308 overflows in conv2d on both sides, so their difference is
+    # nan; the report must not read that as a zero residual
+    c4 = cyclic_group(4)
+    kernel = SteerableKernel(c4, trivial_rep(c4), trivial_rep(c4), np.full((1, 1, 3, 3), 2.0), "bilinear")
+    f = feature_map(c4, trivial_rep(c4), np.full((1, 15, 15), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert check_feature_equivariance(kernel, f, [c4.element(0, 1)]) == [(math.inf, math.inf)]
+        report = check_family("overflow", kernel, f)
+    assert report.exact_subgroup_max == 0.0
+    assert report.feature_exact_max == math.inf
+    assert not report.passed()
+
+
+def test_overflowing_kernel_check_fails_the_report():
+    # an eighth turn is exact on a 3x3 nearest grid; its irrep entries
+    # overflow the conjugated kernel to inf, and inf * 0 to nan
+    c8 = cyclic_group(8)
+    psi = irrep(c8, 0, 1)
+    kernel = SteerableKernel(c8, psi, psi, np.full((2, 2, 3, 3), 1.7e308), "nearest")
+    g = c8.element(0, 1)
+    assert is_exact_element(g, 3, "nearest")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert check_kernel_equivariance(kernel, g) == (math.inf, math.inf)
+        report = check_family("overflow", kernel, feature_map(c8, psi, np.zeros((2, 15, 15))))
+    assert report.exact_subgroup_max == math.inf
+    assert not report.passed()
 
 
 def test_feature_check_examples():
