@@ -1,7 +1,8 @@
-"""The verification harness: identity chains and the full residual suite.
+"""The verification harness: construction identities and the full residual suite.
 
-The construction identities are checked with free placeholder vectors in
-place of filter stacks, which makes them exact linear algebra.  The suite
+The construction identities run the kernel assembly on free placeholder
+stacks in place of filter stacks, which makes them exact linear algebra: one
+residual per group kind and input representation.  The suite
 then builds every kernel family from seeded random filters and tabulates the
 steerability residuals per group element.
 """
@@ -16,9 +17,9 @@ from filtra import (
     verify_construction_identities,
 )
 
-print("construction identity chains at N=6:")
+print("construction identities at N=6:")
 for label, residual in verify_construction_identities(6).items():
-    print(f"  {label:40s} {residual:.2e}")
+    print(f"  {label:20s} {residual:.2e}")
 
 config = SuiteConfig(
     groups=(cyclic_group(4), dihedral_group(4)),

@@ -9,30 +9,50 @@ errors (bad flags, unreadable files, invalid parameter combinations).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .fileio import read_filter_csv, write_filter_csv, write_pgm
-from .groups import GroupSpec, parse_group
+from .groups import GroupSpec, cyclic_group, dihedral_group, parse_group
 from .harness import SuiteConfig, reports_to_csv, run_suite, suite_passes
+from .filters import check_mode
 from .kernels import (
     CAPACITY_KINDS,
     SteerableKernel,
     capacity_report,
     circulant_kernel,
-    irrep_to_regular_cyclic,
-    irrep_to_regular_dihedral,
-    regular_to_regular_cyclic,
-    regular_to_regular_dihedral,
-    trivial_to_regular_cyclic,
-    trivial_to_regular_dihedral,
+    steerable_kernel,
 )
-from .filters import reflected_rotation_stack, rotation_stack
-from .representations import decompose_regular, regular_rep_matrix
+from .representations import (
+    RepSpec,
+    decompose_regular,
+    irrep,
+    regular_rep,
+    regular_rep_matrix,
+    trivial_rep,
+)
 
 GEN_KINDS = ("triv2reg", "irrep2reg", "reg2reg", "orn")
+
+
+@contextlib.contextmanager
+def _naming(option: str):
+    """Prefix a ValueError raised in the block with the option that caused it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
+def _irrep_in(spec: GroupSpec, j: int, k: int) -> RepSpec:
+    """The (j, k) irrep given by --j and --k."""
+    with _naming("--j"):
+        irrep(spec, j, 0)  # k = 0 exists on every group, so this checks j alone
+    with _naming("--k"):
+        return irrep(spec, j, k)
 
 
 def _comma_list(text: str) -> list[str]:
@@ -116,7 +136,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     groups = tuple(parse_group(name) for name in lists["group"])
     sizes = tuple(_odd_size(s) for s in lists["size"])
-    modes = tuple(lists["mode"])
+    with _naming("--mode"):
+        modes = tuple(check_mode(mode) for mode in lists["mode"])
     config = SuiteConfig(groups=groups, sizes=sizes, modes=modes, seed=args.seed)
     reports = run_suite(config)
     if args.report:
@@ -134,31 +155,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _build_kernel(args: argparse.Namespace, spec: GroupSpec, bases: list[np.ndarray]) -> SteerableKernel:
-    n = spec.rotation_order
-    cyclic = spec.reflection_order == 1
-    if args.kind == "triv2reg":
+    if args.kind == "orn":
+        if spec.reflection_order != 1:
+            raise ValueError("orn kernels are defined on cyclic groups only")
         if len(bases) != 1:
-            raise ValueError("triv2reg takes exactly one base filter")
-        build = trivial_to_regular_cyclic if cyclic else trivial_to_regular_dihedral
-        return build(bases[0], n, args.mode)
-    if args.kind == "irrep2reg":
-        if args.k is None:
-            raise ValueError("irrep2reg requires --k")
-        if len(bases) != 1:
-            raise ValueError("irrep2reg takes exactly one base filter")
-        if cyclic:
-            if args.j not in (None, 0):
-                raise ValueError(f"{spec.name} irreps have j=0")
-            return irrep_to_regular_cyclic(bases[0], n, args.k, args.mode)
-        return irrep_to_regular_dihedral(bases[0], n, 0 if args.j is None else args.j, args.k, args.mode)
-    if args.kind == "reg2reg":
-        build = regular_to_regular_cyclic if cyclic else regular_to_regular_dihedral
-        return build(bases, n, args.mode)
-    if not cyclic:
-        raise ValueError("orn kernels are defined on cyclic groups only")
-    if len(bases) != 1:
-        raise ValueError("orn takes exactly one base filter")
-    return circulant_kernel(bases[0], n, args.mode)
+            raise ValueError("--base: orn takes exactly one base filter")
+        return circulant_kernel(bases[0], spec.rotation_order, args.mode)
+    if args.kind == "irrep2reg" and args.k is None:
+        raise ValueError("irrep2reg requires --k")
+    build = {"triv2reg": trivial_rep, "reg2reg": regular_rep}.get(args.kind)
+    rep_in = build(spec) if build else _irrep_in(spec, args.j or 0, args.k)
+    with _naming("--base"):
+        return steerable_kernel(rep_in, bases, args.mode)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -232,20 +240,18 @@ def cmd_demo(args: argparse.Namespace) -> int:
     if not image_path.is_file():
         raise ValueError(f"unreadable base filter file: {image_path}")
     base = read_filter_csv(image_path)
-    spec = parse_group(args.group)
-    n = spec.rotation_order
+    n = parse_group(args.group).rotation_order
+    families: dict[str, np.ndarray] = {}
+    for spec, kind, j in ((cyclic_group(n), "cyclic", 0), (dihedral_group(n), "dihedral", args.j)):
+        reps = {"triv2reg": trivial_rep(spec), "irrep2reg": _irrep_in(spec, j, args.k)}
+        for name, rep_in in reps.items():
+            families[f"{name}_{kind}"] = steerable_kernel(rep_in, [base], args.mode).grids
+    # the trivial-input kernels are the filter stacks themselves
+    families["stack"] = families["triv2reg_cyclic"]
+    families["stack_reflected"] = families["triv2reg_dihedral"][n:]
     out = Path(args.out)
-    families: list[tuple[str, np.ndarray]] = []
-    families.append(("stack", rotation_stack(base, n, args.mode).entries[:, None]))
-    families.append(("stack_reflected", reflected_rotation_stack(base, n, args.mode).entries[:, None]))
-    families.append(("triv2reg_cyclic", trivial_to_regular_cyclic(base, n, args.mode).grids))
-    families.append(("triv2reg_dihedral", trivial_to_regular_dihedral(base, n, args.mode).grids))
-    families.append(("irrep2reg_cyclic", irrep_to_regular_cyclic(base, n, args.k, args.mode).grids))
-    families.append(
-        ("irrep2reg_dihedral", irrep_to_regular_dihedral(base, n, args.j, args.k, args.mode).grids)
-    )
     count = 0
-    for name, grids in families:
+    for name, grids in families.items():
         family_dir = out / name
         family_dir.mkdir(parents=True, exist_ok=True)
         for r in range(grids.shape[0]):

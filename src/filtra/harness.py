@@ -1,11 +1,12 @@
-"""Executable verification of the steerability constraint and of the identity
-chains behind every kernel construction, with machine-readable reports.
+"""Executable verification of the steerability constraint, on built kernels
+and on the kernel assembly itself, with machine-readable reports.
 
 The kernel-level check compares the filter-transformed kernel against the
 representation-conjugated kernel; the feature-level check compares
 convolve-then-act against act-then-convolve on an interior crop.  The
-identity chains are run over free placeholder vectors, which isolates the
-representation algebra from any resampling error.
+construction identities run the kernel assembly over free placeholder
+stacks, which isolates the representation algebra from any resampling
+error.
 """
 
 from __future__ import annotations
@@ -21,28 +22,19 @@ from .filters import coordinate_matrix, rotation_cos_sin, sample_plane
 from .groups import GroupElement, GroupSpec, cyclic_group, dihedral_group
 from .kernels import (
     SteerableKernel,
+    assemble_grids,
     circulant_kernel,
-    irrep_to_regular_cyclic,
-    irrep_to_regular_dihedral,
-    regular_to_regular_cyclic,
-    regular_to_regular_dihedral,
+    input_blocks,
+    input_reps,
     reverse_kernel,
-    trivial_to_regular_cyclic,
-    trivial_to_regular_dihedral,
+    steerable_kernel,
 )
-from .representations import (
-    dct_basis_cyclic,
-    dct_basis_dihedral,
-    frequency_columns,
-    irrep_matrix,
-    reflection_permutation,
-    regular_rep_matrix,
-    rotation_permutation,
-)
+from .representations import regular_rep_matrix
 
 KERNEL_TOL = 1e-12
 FEATURE_TOL = 1e-10
 IDENTITY_TOL = 1e-12
+FEATURE_SIDE = 15
 
 
 def check_kernel_equivariance(kernel: SteerableKernel, g: GroupElement) -> tuple[float, float]:
@@ -124,199 +116,55 @@ def is_exact_element(g: GroupElement, size: int, mode: str) -> bool:
     return False
 
 
-def _chain_residual(*steps: np.ndarray) -> float:
-    worst = 0.0
-    for a, b in zip(steps, steps[1:]):
-        worst = max(worst, float(np.abs(a - b).max()))
-    return worst
+def _moved_stack(g: GroupElement, stack: np.ndarray) -> np.ndarray:
+    """The (|G|, ...) stack of the base filter transformed by g: a rotation
+    rolls both halves by i1; a reflection swaps the halves and reindexes
+    entry m by (i1 - m) mod N."""
+    n = g.spec.rotation_order
+    halves = stack.reshape(g.spec.reflection_order, n, *stack.shape[1:])
+    m = np.arange(n)
+    moved = halves[::-1, (g.i1 - m) % n] if g.i0 else halves[:, (m - g.i1) % n]
+    return moved.reshape(stack.shape)
 
 
 def verify_construction_identities(n: int, seed: int = 7) -> dict[str, float]:
-    """Run every identity chain behind the kernel constructions for one N.
-
-    Filter stacks are realized as free random placeholder vectors (rotating a
-    1x1 grid is exact), so each chain is checked as pure matrix algebra.
-    Returns the max residual per chain; all should sit at machine precision.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """The kernel assembly checked as pure matrix algebra, on free random
+    placeholder stacks of 1x1 grids: the max over g of |assemble(g . stacks) -
+    rho_reg(g) @ assemble(stacks) @ rho_in(g).T|, per group and input kind,
+    e.g. "dihedral-irrep".  All should sit at machine precision."""
     rng = np.random.default_rng(seed)
-    cyc = cyclic_group(n)
-    dih = dihedral_group(n)
-    stack = rng.uniform(-1.0, 1.0, n)
-    rstack = rng.uniform(-1.0, 1.0, n)
-    freqs = range(n // 2 + 1)
-
-    results = {
-        "cyclic-irrep-rotation": 0.0,
-        "cyclic-irrep-rotation-reflected-stack": 0.0,
-        "reflected-exchange": 0.0,
-        "reflected-exchange-conjugate": 0.0,
-        "dihedral-irrep-stack": 0.0,
-        "cyclic-regular-chain": 0.0,
-        "dihedral-regular-chain": 0.0,
-    }
-
-    def bump(label: str, value: float) -> None:
-        results[label] = max(results[label], value)
-
-    for k in freqs:
-        cols = frequency_columns(n, k)
-        k_cols = np.diag(stack) @ cols
-        r_cols = np.diag(rstack) @ cols
-        for i1 in range(n):
-            p = rotation_permutation(n, i1)
-            psi_rot = irrep_matrix(cyc.element(0, i1), 0, k)
-            bump(
-                "cyclic-irrep-rotation",
-                _chain_residual(
-                    np.diag(p @ stack) @ cols,
-                    p @ np.diag(stack) @ p.T @ cols,
-                    p @ k_cols @ psi_rot.T,
-                ),
-            )
-            bump(
-                "cyclic-irrep-rotation-reflected-stack",
-                _chain_residual(np.diag(p @ rstack) @ cols, p @ r_cols @ psi_rot.T),
-            )
-
-            b = reflection_permutation(n, i1)
-            h = dih.element(1, i1)
-            psi0 = irrep_matrix(h, 0, k)
-            psi1 = irrep_matrix(h, 1, k)
-            bump(
-                "reflected-exchange",
-                _chain_residual(
-                    np.diag(b @ rstack) @ cols,
-                    b @ np.diag(rstack) @ b.T @ cols,
-                    b @ r_cols @ psi0.T,
-                    -b @ r_cols @ psi1.T,
-                ),
-            )
-            bump(
-                "reflected-exchange-conjugate",
-                _chain_residual(
-                    np.diag(b @ stack) @ cols,
-                    b @ k_cols @ psi0.T,
-                    -b @ k_cols @ psi1.T,
-                ),
-            )
-
-            rho_rot = regular_rep_matrix(dih.element(0, i1))
-            rho_ref = regular_rep_matrix(h)
-            for j in (0, 1):
-                sign = (-1.0) ** j
-                stacked = np.vstack([k_cols, sign * r_cols])
-                psi_jr = irrep_matrix(dih.element(0, i1), j, k)
-                bump(
-                    "dihedral-irrep-stack",
-                    _chain_residual(
-                        np.vstack([np.diag(p @ stack) @ cols, sign * np.diag(p @ rstack) @ cols]),
-                        rho_rot @ stacked @ psi_jr.T,
-                    ),
-                )
-                psi_jf = irrep_matrix(h, j, k)
-                bump(
-                    "dihedral-irrep-stack",
-                    _chain_residual(
-                        np.vstack([np.diag(b @ rstack) @ cols, sign * np.diag(b @ stack) @ cols]),
-                        rho_ref @ stacked @ psi_jf.T,
-                    ),
-                )
-
-    # regular-to-regular chains: one free placeholder pair per frequency block
-    v = dct_basis_cyclic(n)
-    v_inv = v.inverse()
-    cyc_stacks = [rng.uniform(-1.0, 1.0, n) for _ in freqs]
-    cyc_blocks = [np.diag(s) @ frequency_columns(n, k) for k, s in enumerate(cyc_stacks)]
-    g_cyc = np.hstack(cyc_blocks) @ v_inv
-    for i1 in range(n):
-        p = rotation_permutation(n, i1)
-        moved = np.hstack([np.diag(p @ s) @ frequency_columns(n, k) for k, s in enumerate(cyc_stacks)])
-        conjugated = np.hstack(
-            [
-                p @ blk @ irrep_matrix(cyc.element(0, i1), 0, k).T
-                for k, blk in enumerate(cyc_blocks)
-            ]
-        )
-        bump(
-            "cyclic-regular-chain",
-            _chain_residual(moved @ v_inv, conjugated @ v_inv, p @ g_cyc @ p.T),
-        )
-
-    w = dct_basis_dihedral(n)
-    w_inv = w.inverse()
-    dih_stacks = {(j, k): (rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)) for j in (0, 1) for k in freqs}
-    dih_blocks = {}
-    for (j, k), (s_k, s_r) in dih_stacks.items():
-        cols = frequency_columns(n, k)
-        dih_blocks[(j, k)] = np.vstack([np.diag(s_k) @ cols, (-1.0) ** j * np.diag(s_r) @ cols])
-    order = [(j, k) for j in (0, 1) for k in freqs]
-    g_dih = np.hstack([dih_blocks[jk] for jk in order]) @ w_inv
-    for i0 in range(2):
-        for i1 in range(n):
-            g = dih.element(i0, i1)
-            rho = regular_rep_matrix(g)
-            p = rotation_permutation(n, i1)
-            b = reflection_permutation(n, i1)
-            moved_blocks = []
-            conj_blocks = []
-            for (j, k) in order:
-                s_k, s_r = dih_stacks[(j, k)]
-                cols = frequency_columns(n, k)
-                sign = (-1.0) ** j
-                if i0 == 0:
-                    moved = np.vstack([np.diag(p @ s_k) @ cols, sign * np.diag(p @ s_r) @ cols])
-                else:
-                    moved = np.vstack([np.diag(b @ s_r) @ cols, sign * np.diag(b @ s_k) @ cols])
-                moved_blocks.append(moved)
-                conj_blocks.append(rho @ dih_blocks[(j, k)] @ irrep_matrix(g, j, k).T)
-            bump(
-                "dihedral-regular-chain",
-                _chain_residual(
-                    np.hstack(moved_blocks) @ w_inv,
-                    np.hstack(conj_blocks) @ w_inv,
-                    rho @ g_dih @ rho.T,
-                ),
-            )
-
+    results: dict[str, float] = {}
+    for spec in (cyclic_group(n), dihedral_group(n)):
+        family = "cyclic" if spec.reflection_order == 1 else "dihedral"
+        for rep in input_reps(spec):
+            stacks = [rng.uniform(-1.0, 1.0, (spec.order, 1, 1)) for _ in input_blocks(rep)]
+            grids = assemble_grids(rep, stacks)[:, :, 0, 0]
+            label = f"{family}-{rep.kind}"
+            for g in spec.elements():
+                moved = assemble_grids(rep, [_moved_stack(g, s) for s in stacks])[:, :, 0, 0]
+                conjugated = regular_rep_matrix(g) @ grids @ rep.matrix(g).T
+                residual = float(np.abs(moved - conjugated).max())
+                results[label] = max(results.get(label, 0.0), residual)
     return results
 
 
 def kernel_families(
-    group: GroupSpec, size: int, mode: str, rng: np.random.Generator, include_reversed: bool = True
+    group: GroupSpec, size: int, mode: str, rng: np.random.Generator
 ) -> list[tuple[str, SteerableKernel]]:
-    """Build one seeded kernel per construction available on the group."""
-    n = group.rotation_order
+    """One seeded kernel per construction available on the group, and its reverse."""
 
     def draw() -> np.ndarray:
         return rng.uniform(-1.0, 1.0, (size, size))
 
-    families: list[tuple[str, SteerableKernel]] = []
+    families = []
+    for rep in input_reps(group):
+        label = {"trivial": "triv2reg", "regular": "reg2reg"}.get(rep.kind)
+        bases = [draw() for _ in input_blocks(rep)]
+        kernel = steerable_kernel(rep, bases, mode)
+        families.append((label or f"irrep2reg:j{rep.j}:k{rep.k}", kernel))
     if group.reflection_order == 1:
-        families.append(("triv2reg", trivial_to_regular_cyclic(draw(), n, mode)))
-        for k in range(n // 2 + 1):
-            families.append((f"irrep2reg:j0:k{k}", irrep_to_regular_cyclic(draw(), n, k, mode)))
-        families.append(
-            ("reg2reg", regular_to_regular_cyclic([draw() for _ in range(n // 2 + 1)], n, mode))
-        )
-        families.append(("orn", circulant_kernel(draw(), n, mode)))
-    else:
-        families.append(("triv2reg", trivial_to_regular_dihedral(draw(), n, mode)))
-        for j in (0, 1):
-            for k in range(n // 2 + 1):
-                families.append(
-                    (f"irrep2reg:j{j}:k{k}", irrep_to_regular_dihedral(draw(), n, j, k, mode))
-                )
-        families.append(
-            (
-                "reg2reg",
-                regular_to_regular_dihedral([draw() for _ in range(2 * (n // 2 + 1))], n, mode),
-            )
-        )
-    if include_reversed:
-        families += [(f"rev:{label}", reverse_kernel(kern)) for label, kern in list(families)]
-    return families
+        families.append(("orn", circulant_kernel(draw(), group.rotation_order, mode)))
+    return families + [(f"rev:{label}", reverse_kernel(kern)) for label, kern in families]
 
 
 @dataclass(frozen=True)
@@ -351,7 +199,6 @@ class SuiteConfig:
     sizes: tuple[int, ...] = (3,)
     modes: tuple[str, ...] = ("bilinear",)
     seed: int = 42
-    feature_size: int = 15
 
 
 def check_family(label: str, kernel: SteerableKernel, f: FeatureMap) -> EquivarianceReport:
@@ -386,13 +233,13 @@ def run_suite(config: SuiteConfig) -> list[EquivarianceReport]:
     Deterministic given the seed.
     """
     rng = np.random.default_rng(config.seed)
-    side = config.feature_size
     reports = []
     for group in config.groups:
         for size in config.sizes:
             for mode in config.modes:
                 for label, kernel in kernel_families(group, size, mode, rng):
-                    fdata = rng.uniform(-1.0, 1.0, (kernel.rep_in.dim, side, side))
+                    shape = (kernel.rep_in.dim, FEATURE_SIDE, FEATURE_SIDE)
+                    fdata = rng.uniform(-1.0, 1.0, shape)
                     reports.append(check_family(label, kernel, FeatureMap(group, kernel.rep_in, fdata)))
     return reports
 

@@ -1,42 +1,31 @@
-"""Steerable kernel constructors built by filter transform.
+"""Steerable kernels built by filter transform: (dim_out, dim_in, S, S) grid
+matrices tagged with their input and output representations.
 
-A steerable kernel is a dim_out x dim_in matrix of filter grids, stored as a
-(dim_out, dim_in, S, S) array together with its input and output
-representation tags.  Constructors cover trivial-to-regular,
-irrep-to-regular and regular-to-regular kernels for cyclic and dihedral
-groups, reversed (transposed) kernels, and the single-filter circulant
-baseline, plus weight-capacity accounting.
+Every filter-transform kernel comes from `steerable_kernel`, keyed on the
+input representation and always mapping to the regular one: the filter
+transform stacks each base filter's |G| copies, and one assembly turns the
+stacks into the grid matrix.  The six cyclic/dihedral constructors are kept
+for existing callers as calls into it.  Also here: reversed kernels, the
+circulant baseline and weight-capacity accounting.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import (
-    FilterStack,
-    check_filter_grid,
-    check_mode,
-    reflected_rotation_stack,
-    rotation_stack,
-)
-from .groups import GroupSpec
+from .filters import check_filter_grid, check_mode, reflected_rotation_stack, rotation_stack
+from .groups import GroupSpec, cyclic_group, dihedral_group
 from .representations import (
     RepSpec,
-    dct_basis_cyclic,
-    dct_basis_dihedral,
     frequency_columns,
+    group_dct_basis,
     irrep,
     regular_rep,
     trivial_rep,
 )
-
-
-def _check_same_size(bases: list[np.ndarray]) -> None:
-    sizes = {check_filter_grid(b).shape[0] for b in bases}
-    if len(sizes) != 1:
-        raise ValueError(f"base filters must share one size, got sides {sorted(sizes)}")
 
 
 @dataclass(frozen=True)
@@ -64,98 +53,105 @@ class SteerableKernel:
         return self.grids.shape[-1]
 
 
+def input_blocks(rep_in: RepSpec) -> list[tuple[int, int]]:
+    """The (j, k) irrep blocks of rep_in, in `group_dct_basis` column order.
+    A kernel from rep_in takes one base filter per block."""
+    if rep_in.kind == "regular":
+        return [(j, k) for j, k, _ in group_dct_basis(rep_in.spec).blocks]
+    return [(rep_in.j, rep_in.k)]  # the trivial rep is the (0, 0) irrep
+
+
+def input_reps(spec: GroupSpec) -> list[RepSpec]:
+    """Trivial, then the irreps (j-major, k ascending), then regular."""
+    reg = regular_rep(spec)
+    return [trivial_rep(spec), *(irrep(spec, j, k) for j, k in input_blocks(reg)), reg]
+
+
+def filter_transform(base: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
+    """(|G|, S, S) stack of the base filter: its N rotated copies and, on D_N,
+    the N rotated copies of its reflection below them."""
+    n = spec.rotation_order
+    stack = rotation_stack(base, n, mode).entries
+    if spec.reflection_order == 1:
+        return stack
+    return np.concatenate([stack, reflected_rotation_stack(base, n, mode).entries])
+
+
+def assemble_grids(rep_in: RepSpec, stacks: Iterable[np.ndarray]) -> np.ndarray:
+    """(|G|, dim_in, S, S) grids of the kernel from rep_in to the regular rep,
+    from one (|G|, S, S) stack per irrep block (j, k) of rep_in.  Entry m of a
+    stack is scaled by the frequency-k cosine/sine values at angle index
+    m mod N, its reflected half signed by (-1)**j; the blocks of a regular
+    input are then mixed by the inverse DCT basis."""
+    spec = rep_in.spec
+    blocks = []
+    for (j, k), stack in zip(input_blocks(rep_in), stacks, strict=True):
+        cols = frequency_columns(spec.rotation_order, k)
+        if spec.reflection_order == 2:
+            cols = np.concatenate([cols, (-1.0) ** j * cols])
+        blocks.append(stack[:, None] * cols[:, :, None, None])
+    if rep_in.kind != "regular":
+        return blocks[0]
+    # right-multiply the filter-valued matrix: scalar combinations of grids
+    mix = group_dct_basis(spec).inverse()
+    return np.einsum("oihw,ij->ojhw", np.concatenate(blocks, axis=1), mix)
+
+
+def steerable_kernel(
+    rep_in: RepSpec, bases: list[np.ndarray], mode: str = "bilinear"
+) -> SteerableKernel:
+    """The filter-transform kernel from rep_in to the regular representation,
+    from one base filter per irrep block of rep_in, all of one size."""
+    spec = rep_in.spec
+    count = len(input_blocks(rep_in))
+    if len(bases) != count:
+        plural = "" if count == 1 else "s"
+        raise ValueError(f"expected {count} base filter{plural} for {spec.name}, got {len(bases)}")
+    sizes = {check_filter_grid(b).shape[0] for b in bases}
+    if len(sizes) != 1:
+        raise ValueError(f"base filters must share one size, got sides {sorted(sizes)}")
+    check_mode(mode)
+    # a generator: each stack is freed once its block is scaled
+    grids = assemble_grids(rep_in, (filter_transform(b, spec, mode) for b in bases))
+    return SteerableKernel(spec, rep_in, regular_rep(spec), grids, mode)
+
+
 def trivial_to_regular_cyclic(base: np.ndarray, n: int, mode: str = "bilinear") -> SteerableKernel:
     """N x 1 kernel whose rows are the rotation stack of the base filter."""
-    stack = rotation_stack(base, n, mode)
-    grids = stack.entries[:, None]
-    spec = GroupSpec(1, n)
-    return SteerableKernel(spec, trivial_rep(spec), regular_rep(spec), grids, mode)
+    return steerable_kernel(trivial_rep(cyclic_group(n)), [base], mode)
 
 
 def trivial_to_regular_dihedral(base: np.ndarray, n: int, mode: str = "bilinear") -> SteerableKernel:
     """2N x 1 kernel: the rotation stack above the reflected rotation stack."""
-    stack = rotation_stack(base, n, mode)
-    rstack = reflected_rotation_stack(base, n, mode)
-    grids = np.concatenate([stack.entries, rstack.entries])[:, None]
-    spec = GroupSpec(2, n)
-    return SteerableKernel(spec, trivial_rep(spec), regular_rep(spec), grids, mode)
-
-
-def _scaled_stack(stack: FilterStack, n: int, k: int) -> np.ndarray:
-    # (N, d(k), S, S): row m holds stack entry m scaled by each frequency column
-    cols = frequency_columns(n, k)
-    return stack.entries[:, None] * cols[:, :, None, None]
+    return steerable_kernel(trivial_rep(dihedral_group(n)), [base], mode)
 
 
 def irrep_to_regular_cyclic(
-    base: np.ndarray, n: int, k: int, mode: str = "bilinear", reflected: bool = False
+    base: np.ndarray, n: int, k: int, mode: str = "bilinear"
 ) -> SteerableKernel:
-    """N x dim(k) kernel: row m is the m-th rotated filter scaled by the
-    frequency-k cosine/sine values at angle index m.
-
-    With `reflected` the rotation stack of the reflected base is used instead.
-    """
-    stack = (reflected_rotation_stack if reflected else rotation_stack)(base, n, mode)
-    spec = GroupSpec(1, n)
-    grids = _scaled_stack(stack, n, k)
-    return SteerableKernel(spec, irrep(spec, 0, k), regular_rep(spec), grids, mode)
+    """N x dim(k) kernel: rotated copy m scaled by frequency k at angle m."""
+    return steerable_kernel(irrep(cyclic_group(n), 0, k), [base], mode)
 
 
 def irrep_to_regular_dihedral(
     base: np.ndarray, n: int, j: int, k: int, mode: str = "bilinear"
 ) -> SteerableKernel:
-    """2N x dim(k) kernel: the cyclic irrep kernel stacked above (-1)**j times
-    its reflected-stack counterpart."""
-    if j not in (0, 1):
-        raise ValueError(f"reflection frequency j must be 0 or 1, got {j}")
-    top = irrep_to_regular_cyclic(base, n, k, mode, reflected=False)
-    bottom = irrep_to_regular_cyclic(base, n, k, mode, reflected=True)
-    grids = np.concatenate([top.grids, (-1.0) ** j * bottom.grids])
-    spec = GroupSpec(2, n)
-    return SteerableKernel(spec, irrep(spec, j, k), regular_rep(spec), grids, mode)
-
-
-def _mix_columns(grids: np.ndarray, mix: np.ndarray) -> np.ndarray:
-    # right-multiply the filter-valued matrix: scalar linear combinations of grids
-    return np.einsum("oihw,ij->ojhw", grids, mix)
+    """2N x dim(k) kernel: the cyclic one above (-1)**j times its reflection."""
+    return steerable_kernel(irrep(dihedral_group(n), j, k), [base], mode)
 
 
 def regular_to_regular_cyclic(
     bases: list[np.ndarray], n: int, mode: str = "bilinear"
 ) -> SteerableKernel:
-    """N x N kernel from one base filter per rotation frequency.
-
-    The irrep kernels are concatenated column-wise and mixed by the inverse
-    of the cyclic DCT basis.
-    """
-    expected = n // 2 + 1
-    if len(bases) != expected:
-        raise ValueError(f"expected {expected} base filters for n={n}, got {len(bases)}")
-    _check_same_size(bases)
-    check_mode(mode)
-    blocks = [irrep_to_regular_cyclic(b, n, k, mode).grids for k, b in enumerate(bases)]
-    grids = _mix_columns(np.concatenate(blocks, axis=1), dct_basis_cyclic(n).inverse())
-    spec = GroupSpec(1, n)
-    return SteerableKernel(spec, regular_rep(spec), regular_rep(spec), grids, mode)
+    """N x N kernel from one base filter per rotation frequency."""
+    return steerable_kernel(regular_rep(cyclic_group(n)), bases, mode)
 
 
 def regular_to_regular_dihedral(
     bases: list[np.ndarray], n: int, mode: str = "bilinear"
 ) -> SteerableKernel:
-    """2N x 2N kernel from one base filter per (reflection, rotation) frequency,
-    ordered j-major with k ascending."""
-    per_j = n // 2 + 1
-    if len(bases) != 2 * per_j:
-        raise ValueError(f"expected {2 * per_j} base filters for n={n}, got {len(bases)}")
-    _check_same_size(bases)
-    check_mode(mode)
-    blocks = []
-    for idx, b in enumerate(bases):
-        j, k = divmod(idx, per_j)
-        blocks.append(irrep_to_regular_dihedral(b, n, j, k, mode).grids)
-    grids = _mix_columns(np.concatenate(blocks, axis=1), dct_basis_dihedral(n).inverse())
-    spec = GroupSpec(2, n)
-    return SteerableKernel(spec, regular_rep(spec), regular_rep(spec), grids, mode)
+    """2N x 2N kernel from one base filter per (j, k), j-major, k ascending."""
+    return steerable_kernel(regular_rep(dihedral_group(n)), bases, mode)
 
 
 def reverse_kernel(kernel: SteerableKernel) -> SteerableKernel:
@@ -176,11 +172,10 @@ def circulant_kernel(base: np.ndarray, n: int, mode: str = "bilinear") -> Steera
     output orientation i, which shifts the index by a further i; this is the
     layout under which the kernel steers regular to regular.
     """
-    stack = rotation_stack(base, n, mode)
+    spec = cyclic_group(n)
+    stack = filter_transform(base, spec, mode)
     idx = (2 * np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    grids = stack.entries[idx]
-    spec = GroupSpec(1, n)
-    return SteerableKernel(spec, regular_rep(spec), regular_rep(spec), grids, mode)
+    return SteerableKernel(spec, regular_rep(spec), regular_rep(spec), stack[idx], mode)
 
 
 CAPACITY_KINDS = ("reg2reg", "orn")

@@ -97,6 +97,36 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--group", "c4", "--kind", "irrep2reg", "--k", "9"],
+         "--k: rotation frequency k=9 out of range 0..2"),
+        (["gen", "--group", "d4", "--kind", "irrep2reg", "--j", "3", "--k", "1"],
+         "--j: reflection frequency j must be 0 or 1, got 3"),
+        (["gen", "--group", "c4", "--kind", "irrep2reg", "--j", "1", "--k", "1"],
+         "--j: c4 has no reflections: j must be 0"),
+        (["gen", "--group", "c4", "--kind", "reg2reg"],
+         "--base: expected 3 base filters for c4, got 1"),
+        (["verify", "--group", "c4", "--mode", "bilinear,bicubic"],
+         "--mode: unknown interpolation mode 'bicubic': expected one of ('bilinear', 'nearest')"),
+        (["demo", "--group", "c8", "--k", "9"], "--k: rotation frequency k=9 out of range 0..4"),
+        (["demo", "--group", "c8", "--j", "3"],
+         "--j: reflection frequency j must be 0 or 1, got 3"),
+    ],
+    ids=["gen-k", "gen-j", "gen-cyclic-j", "gen-base-count", "verify-mode", "demo-k", "demo-j"],
+)
+def test_parameter_errors_name_the_option(argv, message, base_csv, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    files = {"gen": ["--base", str(base_csv)], "demo": ["--image", str(base_csv)]}
+    if argv[0] in files:
+        argv = argv + files[argv[0]] + ["--out", out]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"filtra: error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "text", ["S=3\n1,2,3\n4,5\n7,8,9\n", "S=3\n1,2,3\n4,x,6\n7,8,9\n", "S=abc\n1\n"],
     ids=["ragged", "non-numeric", "bad-size"],
 )

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from filtra import features
+from filtra import features, harness
 from filtra.features import feature_map
 from filtra.filters import coordinate_matrix, sample_plane
 from filtra.groups import cyclic_group, dihedral_group
@@ -132,16 +132,44 @@ def test_is_exact_element():
 def test_construction_identities(n):
     results = verify_construction_identities(n)
     assert set(results) == {
-        "cyclic-irrep-rotation",
-        "cyclic-irrep-rotation-reflected-stack",
-        "reflected-exchange",
-        "reflected-exchange-conjugate",
-        "dihedral-irrep-stack",
-        "cyclic-regular-chain",
-        "dihedral-regular-chain",
+        "cyclic-trivial",
+        "cyclic-irrep",
+        "cyclic-regular",
+        "dihedral-trivial",
+        "dihedral-irrep",
+        "dihedral-regular",
     }
     for label, residual in results.items():
         assert residual <= IDENTITY_TOL, (label, residual)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5])
+def test_construction_identities_are_not_vacuous(n, monkeypatch):
+    """A sign error in the reflected half of the assembly must show, and no
+    placeholder kernel may be zero: a zero kernel steers trivially."""
+    assemble = harness.assemble_grids
+    assembled = []
+
+    def recording(rep_in, stacks):
+        assembled.append(assemble(rep_in, stacks))
+        return assembled[-1]
+
+    monkeypatch.setattr(harness, "assemble_grids", recording)
+    verify_construction_identities(n)
+    assert len(assembled) > 0
+    assert all(np.abs(grids).max() > 0.0 for grids in assembled)
+
+    def flipped(rep_in, stacks):
+        # negating the reflected half of every stack flips the sign (-1)**j
+        # that the assembly gives it; cyclic stacks have no reflected half
+        return assemble(rep_in, [np.concatenate([s[:n], -s[n:]]) for s in stacks])
+
+    monkeypatch.setattr(harness, "assemble_grids", flipped)
+    results = verify_construction_identities(n)
+    for label in ("dihedral-trivial", "dihedral-irrep", "dihedral-regular"):
+        assert results[label] >= 0.1, (label, results[label])
+    for label in ("cyclic-trivial", "cyclic-irrep", "cyclic-regular"):
+        assert results[label] <= IDENTITY_TOL, (label, results[label])
 
 
 def test_run_suite_trivial_group():
