@@ -155,6 +155,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _build_kernel(args: argparse.Namespace, spec: GroupSpec, bases: list[np.ndarray]) -> SteerableKernel:
+    for option in ("j", "k"):
+        if args.kind != "irrep2reg" and getattr(args, option) is not None:
+            raise ValueError(f"--{option}: {args.kind} takes no irrep frequency; only irrep2reg does")
     if args.kind == "orn":
         if spec.reflection_order != 1:
             raise ValueError("orn kernels are defined on cyclic groups only")

@@ -1,27 +1,31 @@
-"""Spatial filter grids and the geometric resampling that realizes filter
-rotation, reflection and general group actions on them.
+"""Spatial filter grids and the geometric resampling that realizes the
+filter transform and general group actions on them.
 
 Grids are square with odd side length so a center pixel exists; the center
 pixel sits at the origin, x grows rightward (columns), y grows upward (rows
 decrease).  Samples outside the grid read as zero.
 
+The resampling surface is `sample_plane`, the one primitive;
+`coordinate_matrix` and `transform_filter` for a single group element; and
+`filter_transform`, which stacks a base filter with its rotated and
+reflected copies, one per element of the group.
+
 Resampling through a linear coordinate map is a fixed sparse linear map on
 the pixels: one tap per pixel for nearest, up to four for bilinear.
-`sample_plane` takes a whole stack of maps at once, so N rotated copies, or
-the acted copies of a feature map, come from one gather.  The taps (flat
-source index and weight) are built once per (grid size, stack of maps,
-mode) and kept in a cache bounded in entries and in bytes, so each later
-call is a gather and a weighted sum.  A bilinear tap plane whose weight is 0
-at every pixel of the stack is dropped when the taps are built: adding
-0 * value to a partial sum that starts from +0.0 changes no bits for finite
-values, and a map that lands on grid points (a quarter turn, a reflection)
-then costs one gather instead of four.
+`sample_plane` takes a whole stack of maps at once, so the |G| copies of a
+filter transform, or the acted copies of a feature map, come from one
+gather.  The taps (flat source index and weight) are built once per (grid
+size, stack of maps, mode) and kept in a cache bounded in entries and in
+bytes, so each later call is a gather and a weighted sum.  A bilinear tap
+plane whose weight is 0 at every pixel of the stack is dropped when the
+taps are built: adding 0 * value to a partial sum that starts from +0.0
+changes no bits for finite values, and a map that lands on grid points (a
+quarter turn, a reflection) then costs one gather instead of four.
 
-Rotation angles are exact rationals: a group element rotates by the turn
-i1/N, reduced to lowest terms before cos/sin are evaluated, and near-integer
-cos/sin values are snapped.  This makes rotations by congruent angles
-bit-identical for every N and makes 90-degree multiples exact pixel
-permutations.
+Rotation angles are exact rationals: every rotation is a turn i1/N, reduced
+to lowest terms before cos/sin are evaluated, and near-integer cos/sin
+values are snapped.  This makes rotations by congruent angles bit-identical
+for every N and makes 90-degree multiples exact pixel permutations.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +41,6 @@ from .groups import TAU, GroupElement, GroupSpec
 
 MODES = ("bilinear", "nearest")
 
-_MAX_TURN_DENOMINATOR = 720
 _SNAP_EPS = 1e-12
 
 
@@ -60,15 +61,6 @@ def check_filter_grid(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _snapped_cos_sin(a: float) -> tuple[float, float]:
-    c, s = math.cos(a), math.sin(a)
-    if abs(c - round(c)) < _SNAP_EPS:
-        c = float(round(c))
-    if abs(s - round(s)) < _SNAP_EPS:
-        s = float(round(s))
-    return c, s
-
-
 def rotation_cos_sin(turn: int, n: int) -> tuple[float, float]:
     """Cosine and sine of the rotation by turn/n of a full turn.
 
@@ -80,7 +72,13 @@ def rotation_cos_sin(turn: int, n: int) -> tuple[float, float]:
         raise ValueError(f"n must be >= 1, got {n}")
     turn %= n
     d = math.gcd(turn, n)
-    return _snapped_cos_sin(TAU * (turn // d) / (n // d))
+    a = TAU * (turn // d) / (n // d)
+    c, s = math.cos(a), math.sin(a)
+    if abs(c - round(c)) < _SNAP_EPS:
+        c = float(round(c))
+    if abs(s - round(s)) < _SNAP_EPS:
+        s = float(round(s))
+    return c, s
 
 
 def _round_half_down(x: np.ndarray) -> np.ndarray:
@@ -212,34 +210,6 @@ def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarra
     return out.reshape(shape)
 
 
-def _inverse_rotation(c: float, s: float) -> list[list[float]]:
-    # out(x) = f(R(-theta) x) for the rotation with cosine c and sine s
-    return [[c, s], [-s, c]]
-
-
-def resample_rotate(values: np.ndarray, theta: float, mode: str = "bilinear") -> np.ndarray:
-    """Rotate the filter content counter-clockwise by theta radians.
-
-    out(x) = f(R(-theta) x): a feature at angle phi moves to angle phi + theta.
-    An angle within 1e-12 of a turn p/q with q <= 720 rotates exactly as
-    `rotation_cos_sin(p, q)`; other angles use their own cos/sin.
-    """
-    values = check_filter_grid(values)
-    turns = theta / TAU
-    frac = Fraction(turns).limit_denominator(_MAX_TURN_DENOMINATOR)
-    if abs(turns - float(frac)) < _SNAP_EPS:
-        c, s = rotation_cos_sin(frac.numerator, frac.denominator)
-    else:
-        c, s = _snapped_cos_sin(theta)
-    return sample_plane(values, _inverse_rotation(c, s), mode)
-
-
-def resample_reflect(values: np.ndarray) -> np.ndarray:
-    """Reflect about the x-axis: out(x, y) = f(x, -y), an exact row flip."""
-    values = check_filter_grid(values)
-    return values[::-1].copy()
-
-
 def coordinate_matrix(g: GroupElement) -> np.ndarray:
     """Matrix of g acting on centered coordinates: reflect (y -> -y) first
     when i0 = 1, then rotate by the element's angle."""
@@ -260,39 +230,18 @@ def transform_filter(values: np.ndarray, g: GroupElement, mode: str = "bilinear"
     return sample_plane(values, coordinate_matrix(g), mode)
 
 
-@dataclass(frozen=True)
-class FilterStack:
-    """The N rotated copies of a base filter, optionally of its reflection."""
-
-    group: GroupSpec
-    entries: np.ndarray  # (N, S, S)
-    reflected: bool
-    mode: str
-
-    def __post_init__(self) -> None:
-        self.entries.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[-1]
-
-
-def rotation_stack(base: np.ndarray, n: int, mode: str = "bilinear") -> FilterStack:
-    """Stack entry m is the base filter rotated counter-clockwise by 2*pi*m/N;
-    entry 0 is the base itself.  The N - 1 rotations are one resampling call."""
+def filter_transform(base: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
+    """The filter transform: (|G|, S, S) copies of the base filter f, the
+    copy for element g being f(g^-1 x), in `spec.elements()` order.  Entry m
+    is f rotated counter-clockwise by m/N of a turn; on D_N, entry N + m is
+    its row flip (the reflection about the x-axis) rotated the same way.  Both
+    halves go through the N - 1 inverse-rotation maps in one `sample_plane`
+    call."""
     base = check_filter_grid(base)
-    check_mode(mode)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    maps = np.reshape([_inverse_rotation(*rotation_cos_sin(m, n)) for m in range(1, n)], (n - 1, 2, 2))
-    entries = np.concatenate([base[None], sample_plane(base, maps, mode)])
-    return FilterStack(GroupSpec(1, n), entries, False, mode)
-
-
-def reflected_rotation_stack(base: np.ndarray, n: int, mode: str = "bilinear") -> FilterStack:
-    """Rotation stack of the x-axis reflection of the base filter.
-
-    Entry m equals the base evaluated at angle 2*pi*m/N - phi.
-    """
-    stack = rotation_stack(resample_reflect(base), n, mode)
-    return FilterStack(stack.group, stack.entries, True, mode)
+    n = spec.rotation_order
+    halves = np.stack([base, base[::-1]][: spec.reflection_order])
+    # out(x) = f(R(-theta) x) rotates the content by theta
+    cos_sin = [rotation_cos_sin(m, n) for m in range(1, n)]
+    maps = np.reshape([[[c, s], [-s, c]] for c, s in cos_sin], (n - 1, 2, 2))
+    rotated = sample_plane(halves, maps, mode)
+    return np.concatenate([halves[:, None], rotated], axis=1).reshape(-1, *base.shape)

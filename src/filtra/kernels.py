@@ -2,10 +2,11 @@
 matrices tagged with their input and output representations.
 
 Every filter-transform kernel comes from `steerable_kernel`, keyed on the
-input representation and always mapping to the regular one: the filter
-transform stacks each base filter's |G| copies, and one assembly turns the
-stacks into the grid matrix.  The six cyclic/dihedral constructors are kept
-for existing callers as calls into it.  Also here: reversed kernels, the
+input representation and always mapping to the regular one:
+`filters.filter_transform` stacks each base filter's |G| copies, and one
+assembly turns the stacks into the grid matrix; the group's DCT basis is
+built once and shared.  The six cyclic/dihedral constructors are kept for
+existing callers as calls into it.  Also here: reversed kernels, the
 circulant baseline and weight-capacity accounting.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import check_filter_grid, check_mode, reflected_rotation_stack, rotation_stack
+from .filters import check_filter_grid, check_mode, filter_transform
 from .groups import GroupSpec, cyclic_group, dihedral_group
 from .representations import (
     RepSpec,
@@ -67,16 +68,6 @@ def input_reps(spec: GroupSpec) -> list[RepSpec]:
     return [trivial_rep(spec), *(irrep(spec, j, k) for j, k in input_blocks(reg)), reg]
 
 
-def filter_transform(base: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
-    """(|G|, S, S) stack of the base filter: its N rotated copies and, on D_N,
-    the N rotated copies of its reflection below them."""
-    n = spec.rotation_order
-    stack = rotation_stack(base, n, mode).entries
-    if spec.reflection_order == 1:
-        return stack
-    return np.concatenate([stack, reflected_rotation_stack(base, n, mode).entries])
-
-
 def assemble_grids(rep_in: RepSpec, stacks: Iterable[np.ndarray]) -> np.ndarray:
     """(|G|, dim_in, S, S) grids of the kernel from rep_in to the regular rep,
     from one (|G|, S, S) stack per irrep block (j, k) of rep_in.  Entry m of a
@@ -117,12 +108,12 @@ def steerable_kernel(
 
 
 def trivial_to_regular_cyclic(base: np.ndarray, n: int, mode: str = "bilinear") -> SteerableKernel:
-    """N x 1 kernel whose rows are the rotation stack of the base filter."""
+    """N x 1 kernel whose rows are the filter transform of the base filter."""
     return steerable_kernel(trivial_rep(cyclic_group(n)), [base], mode)
 
 
 def trivial_to_regular_dihedral(base: np.ndarray, n: int, mode: str = "bilinear") -> SteerableKernel:
-    """2N x 1 kernel: the rotation stack above the reflected rotation stack."""
+    """2N x 1 kernel whose rows are the D_N filter transform of the base filter."""
     return steerable_kernel(trivial_rep(dihedral_group(n)), [base], mode)
 
 

@@ -233,10 +233,13 @@ def dct_basis_dihedral(n: int) -> DctBasis:
     return DctBasis(w, tuple(blocks))
 
 
+@functools.lru_cache(maxsize=64)
 def group_dct_basis(spec: GroupSpec) -> DctBasis:
-    if spec.reflection_order == 1:
-        return dct_basis_cyclic(spec.rotation_order)
-    return dct_basis_dihedral(spec.rotation_order)
+    """The DCT basis of the group, built once per group; its matrix is read-only."""
+    build = dct_basis_cyclic if spec.reflection_order == 1 else dct_basis_dihedral
+    basis = build(spec.rotation_order)
+    basis.matrix.setflags(write=False)
+    return basis
 
 
 def decompose_regular(g: GroupElement) -> tuple[DctBasis, np.ndarray]:

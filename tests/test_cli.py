@@ -112,8 +112,19 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
         (["demo", "--group", "c8", "--k", "9"], "--k: rotation frequency k=9 out of range 0..4"),
         (["demo", "--group", "c8", "--j", "3"],
          "--j: reflection frequency j must be 0 or 1, got 3"),
+        (["gen", "--group", "c4", "--kind", "triv2reg", "--k", "9", "--j", "5"],
+         "--j: triv2reg takes no irrep frequency; only irrep2reg does"),
+        (["gen", "--group", "d4", "--kind", "triv2reg", "--j", "0"],
+         "--j: triv2reg takes no irrep frequency; only irrep2reg does"),
+        (["gen", "--group", "c4", "--kind", "reg2reg", "--k", "1"],
+         "--k: reg2reg takes no irrep frequency; only irrep2reg does"),
+        (["gen", "--group", "c4", "--kind", "orn", "--k", "0"],
+         "--k: orn takes no irrep frequency; only irrep2reg does"),
+        (["gen", "--group", "d4", "--kind", "orn", "--j", "1"],
+         "--j: orn takes no irrep frequency; only irrep2reg does"),
     ],
-    ids=["gen-k", "gen-j", "gen-cyclic-j", "gen-base-count", "verify-mode", "demo-k", "demo-j"],
+    ids=["gen-k", "gen-j", "gen-cyclic-j", "gen-base-count", "verify-mode", "demo-k", "demo-j",
+         "gen-triv2reg-j-k", "gen-triv2reg-j", "gen-reg2reg-k", "gen-orn-k", "gen-orn-dihedral-j"],
 )
 def test_parameter_errors_name_the_option(argv, message, base_csv, tmp_path, capsys):
     out = str(tmp_path / "out")

@@ -13,17 +13,25 @@ from filtra.filters import (
     _TapCache,
     check_filter_grid,
     coordinate_matrix,
-    reflected_rotation_stack,
-    resample_reflect,
-    resample_rotate,
+    filter_transform,
     rotation_cos_sin,
-    rotation_stack,
     sample_plane,
     transform_filter,
 )
-from filtra.groups import TAU, cyclic_group, dihedral_group
+from filtra.groups import cyclic_group, dihedral_group
 
 GRID3 = np.arange(1.0, 10.0).reshape(3, 3)
+
+
+def _rotation_map(c, s):
+    """The coordinate map that rotates content counter-clockwise by the angle
+    with cosine c and sine s: out(x) = f(R(-theta) x)."""
+    return np.array([[c, s], [-s, c]])
+
+
+def _rotate(values, turn, n, mode):
+    """values rotated counter-clockwise by turn/n of a full turn."""
+    return sample_plane(values, _rotation_map(*rotation_cos_sin(turn, n)), mode)
 
 
 def test_grid_validation():
@@ -34,7 +42,9 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         check_filter_grid(np.array([[np.nan]]))
     with pytest.raises(ValueError):
-        resample_rotate(GRID3, 0.1, mode="bicubic")
+        filter_transform(GRID3, cyclic_group(4), "bicubic")
+    with pytest.raises(ValueError):
+        filter_transform(np.zeros((3, 5)), dihedral_group(4), "bilinear")
 
 
 def test_rotation_cos_sin_snaps_quarter_turns():
@@ -64,23 +74,29 @@ def test_congruent_turns_are_bit_identical(n):
 
 def test_rotate_zero_is_identity():
     for mode in ("bilinear", "nearest"):
-        assert_array_equal(resample_rotate(GRID3, 0.0, mode), GRID3)
+        assert_array_equal(sample_plane(GRID3, np.eye(2), mode), GRID3)
+        assert_array_equal(transform_filter(GRID3, cyclic_group(4).identity(), mode), GRID3)
+        assert_array_equal(filter_transform(GRID3, cyclic_group(4), mode)[0], GRID3)
 
 
 def test_rotate_quarter_turn_both_modes():
     expected = np.array([[3, 6, 9], [2, 5, 8], [1, 4, 7]], dtype=float)
     for mode in ("bilinear", "nearest"):
-        assert_array_equal(resample_rotate(GRID3, math.pi / 2, mode), expected)
+        assert_array_equal(sample_plane(GRID3, _rotation_map(0.0, 1.0), mode), expected)
+        # content turned counter-clockwise: evaluated at the inverse element
+        assert_array_equal(transform_filter(GRID3, cyclic_group(4).element(0, 3), mode), expected)
+        assert_array_equal(filter_transform(GRID3, cyclic_group(4), mode)[1], expected)
 
 
 def test_rotate_eighth_turn_nearest_is_ring_shift():
-    got = resample_rotate(GRID3, math.pi / 4, "nearest")
+    got = _rotate(GRID3, 1, 8, "nearest")
     expected = np.array([[2, 3, 6], [1, 5, 9], [4, 7, 8]], dtype=float)
     assert_array_equal(got, expected)
+    assert_array_equal(filter_transform(GRID3, cyclic_group(8), "nearest")[1], expected)
     # the eight rotations form a cyclic permutation group
     g = GRID3.copy()
     for _ in range(8):
-        g = resample_rotate(g, math.pi / 4, "nearest")
+        g = _rotate(g, 1, 8, "nearest")
     assert_array_equal(g, GRID3)
 
 
@@ -88,19 +104,20 @@ def test_rotate_eighth_turn_nearest_is_ring_shift():
 def test_periodicity_bit_exact(n):
     rng = np.random.default_rng(5)
     f = rng.uniform(-1.0, 1.0, (5, 5))
-    for i in range(n):
-        theta = TAU * i / n
-        for mode in ("bilinear", "nearest"):
-            a = resample_rotate(f, theta, mode)
-            b = resample_rotate(f, theta - TAU, mode)
-            assert_array_equal(a, b)
+    for mode in ("bilinear", "nearest"):
+        stack = filter_transform(f, cyclic_group(n), mode)
+        for i in range(n):
+            a = _rotate(f, i, n, mode)
+            assert a.tobytes() == _rotate(f, i - n, n, mode).tobytes()
+            assert a.tobytes() == _rotate(f, 2 * i + 4 * n, 2 * n, mode).tobytes()
+            if i:
+                assert a.tobytes() == stack[i].tobytes()
 
 
 def test_quarter_turns_are_permutations():
     rng = np.random.default_rng(6)
     f = rng.uniform(-1.0, 1.0, (9, 9))
-    for theta in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
-        g = resample_rotate(f, theta, "bilinear")
+    for g in filter_transform(f, cyclic_group(4), "bilinear"):
         # fsum is exactly rounded, so it is blind to the summation order
         assert math.fsum(g.ravel()) == math.fsum(f.ravel())
         assert g.min() == f.min()
@@ -113,16 +130,16 @@ def test_bilinear_linearity():
     f = rng.uniform(-1.0, 1.0, (7, 7))
     h = rng.uniform(-1.0, 1.0, (7, 7))
     a, b = 1.7, -0.3
-    theta = 0.37
-    combined = resample_rotate(a * f + b * h, theta, "bilinear")
-    separate = a * resample_rotate(f, theta, "bilinear") + b * resample_rotate(h, theta, "bilinear")
+    rotation = _rotation_map(math.cos(0.37), math.sin(0.37))
+    combined = sample_plane(a * f + b * h, rotation, "bilinear")
+    separate = a * sample_plane(f, rotation, "bilinear") + b * sample_plane(h, rotation, "bilinear")
     assert_allclose(combined, separate, atol=1e-12)
 
 
 def test_out_of_grid_reads_zero():
     # rotating an all-ones patch by 45 deg attenuates the corner to 2 - sqrt(2)
     ones = np.ones((3, 3))
-    got = resample_rotate(ones, math.pi / 4, "bilinear")
+    got = _rotate(ones, 1, 8, "bilinear")
     assert got[1, 1] == 1.0
     assert_allclose(got[0, 0], 2.0 - math.sqrt(2.0), atol=1e-12)
 
@@ -131,53 +148,66 @@ def test_nearest_ties_round_toward_smaller_index():
     assert_array_equal(_round_half_down(np.array([1.5, 2.5, -0.5, 0.4, 0.6])), [1, 2, -1, 0, 1])
 
 
+def _reflect(values, n=4, mode="bilinear"):
+    """The reflection about the x-axis: entry N of the D_N filter transform."""
+    return filter_transform(values, dihedral_group(n), mode)[n]
+
+
 def test_reflect_examples():
-    assert_array_equal(resample_reflect(GRID3), [[7, 8, 9], [4, 5, 6], [1, 2, 3]])
+    for n in (1, 3, 4):
+        for mode in ("bilinear", "nearest"):
+            assert_array_equal(_reflect(GRID3, n, mode), [[7, 8, 9], [4, 5, 6], [1, 2, 3]])
     sym = np.array([[1, 2, 3], [4, 5, 6], [1, 2, 3]], dtype=float)
-    assert_array_equal(resample_reflect(sym), sym)
+    assert_array_equal(_reflect(sym), sym)
     rng = np.random.default_rng(8)
     f = rng.uniform(-1.0, 1.0, (9, 9))
-    assert_array_equal(resample_reflect(resample_reflect(f)), f)
+    assert_array_equal(_reflect(_reflect(f, 5), 7), f)
 
 
 def test_rotation_stack():
+    # the rotated copies: the cyclic filter transform
     base = GRID3
-    stack = rotation_stack(base, 1)
-    assert stack.entries.shape == (1, 3, 3)
-    assert_array_equal(stack.entries[0], base)
+    stack = filter_transform(base, cyclic_group(1), "bilinear")
+    assert stack.shape == (1, 3, 3)
+    assert_array_equal(stack[0], base)
 
-    stack4 = rotation_stack(base, 4)
+    stack4 = filter_transform(base, cyclic_group(4), "bilinear")
     for n in range(4):
-        assert_array_equal(stack4.entries[n], resample_rotate(base, TAU * n / 4))
-    assert_array_equal(stack4.entries[0], base)
+        assert_array_equal(stack4[n], np.rot90(base, n))
 
-    stack8 = rotation_stack(base, 8, "nearest")
+    stack8 = filter_transform(base, cyclic_group(8), "nearest")
     g = base.copy()
     for n in range(8):
-        assert_array_equal(stack8.entries[n], g)
-        g = resample_rotate(g, math.pi / 4, "nearest")
+        assert_array_equal(stack8[n], g)
+        g = _rotate(g, 1, 8, "nearest")
 
 
 def test_reflected_rotation_stack():
+    # the lower half of the dihedral filter transform
     sym = np.array([[1, 2, 3], [4, 5, 6], [1, 2, 3]], dtype=float)
-    assert_array_equal(reflected_rotation_stack(sym, 1).entries[0], sym)
+    assert_array_equal(filter_transform(sym, dihedral_group(1), "bilinear")[1], sym)
 
     base = GRID3
-    rstack = reflected_rotation_stack(base, 4)
-    assert_array_equal(rstack.entries[0], resample_reflect(base))
-    # N=2 entry 1: reflect then rotate half a turn = column reversal
-    rstack2 = reflected_rotation_stack(base, 2)
-    assert_array_equal(rstack2.entries[1], base[:, ::-1])
-    assert rstack.reflected and not rotation_stack(base, 4).reflected
+    d4 = filter_transform(base, dihedral_group(4), "bilinear")
+    assert d4.shape == (8, 3, 3)
+    assert_array_equal(d4[:4], filter_transform(base, cyclic_group(4), "bilinear"))
+    assert_array_equal(d4[4], base[::-1])
+    # D_2 entry 3: reflect then rotate half a turn = column reversal
+    assert_array_equal(filter_transform(base, dihedral_group(2), "bilinear")[3], base[:, ::-1])
 
 
 def test_transform_filter_examples():
     c4 = cyclic_group(4)
     assert_array_equal(transform_filter(GRID3, c4.identity()), GRID3)
     d4 = dihedral_group(4)
-    assert_array_equal(transform_filter(GRID3, d4.element(1, 0)), resample_reflect(GRID3))
-    stack = rotation_stack(GRID3, 4)
-    assert_array_equal(transform_filter(stack.entries[0], c4.element(0, 1)), stack.entries[3])
+    assert_array_equal(transform_filter(GRID3, d4.element(1, 0)), GRID3[::-1])
+    stack = filter_transform(GRID3, c4, "bilinear")
+    assert_array_equal(transform_filter(stack[0], c4.element(0, 1)), stack[3])
+    # the filter transform's copy for element g is f(g^-1 x)
+    rng = np.random.default_rng(10)
+    f = rng.uniform(-1.0, 1.0, (5, 5))
+    for g, entry in zip(d4.elements(), filter_transform(f, d4, "bilinear"), strict=True):
+        assert_array_equal(entry, transform_filter(f, g.inverse()))
 
 
 def test_transform_filter_action_property():
@@ -340,21 +370,43 @@ def test_sample_plane_rejects_non_square_maps():
         sample_plane(GRID3, np.ones(4), "bilinear")
 
 
+def _check_filter_transform_against_reference(base, spec, mode):
+    """Each half of the filter transform, bit for bit: the base (upper) or its
+    row flip (lower), then one per-pixel reference resampling per rotation."""
+    n = spec.rotation_order
+    entries = filter_transform(base, spec, mode)
+    assert entries.shape == (len(spec.elements()),) + base.shape
+    for half, flipped in enumerate([base, base[::-1]][: spec.reflection_order]):
+        assert entries[half * n].tobytes() == flipped.tobytes()
+        for m in range(1, n):
+            want = _reference_sample_plane(flipped, _rotation_map(*rotation_cos_sin(m, n)), mode)
+            assert entries[half * n + m].tobytes() == want.tobytes(), (spec.name, half, m)
+
+
 @pytest.mark.parametrize("mode", ("bilinear", "nearest"))
 @pytest.mark.parametrize("size", (1, 3, 5, 9))
 def test_rotation_stack_matches_per_rotation_reference(mode, size):
     base = np.random.default_rng(size).uniform(-1.0, 1.0, (size, size))
     base[0, 0] = -0.0
     for n in (1, 2, 3, 4, 6, 8, 12, 16, 24):
-        entries = rotation_stack(base, n, mode).entries
-        assert entries.shape == (n, size, size)
-        assert entries[0].tobytes() == base.tobytes()
-        for m in range(1, n):
-            c, s = rotation_cos_sin(m, n)
-            want = _reference_sample_plane(base, np.array([[c, s], [-s, c]]), mode)
-            assert entries[m].tobytes() == want.tobytes(), (n, m)
-        reflected = reflected_rotation_stack(base, n, mode).entries
-        assert reflected.tobytes() == rotation_stack(base[::-1], n, mode).entries.tobytes()
+        for spec in (cyclic_group(n), dihedral_group(n)):
+            _check_filter_transform_against_reference(base, spec, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 32),
+    size=st.sampled_from([1, 3, 5, 7, 9, 11]),
+    dihedral=st.booleans(),
+    mode=st.sampled_from(["bilinear", "nearest"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_transform_matches_per_rotation_reference_for_any_n_and_size(n, size, dihedral, mode, seed):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, (size, size))
+    base.flat[rng.integers(base.size)] = -0.0
+    spec = dihedral_group(n) if dihedral else cyclic_group(n)
+    _check_filter_transform_against_reference(base, spec, mode)
 
 
 def test_grid_exact_bilinear_maps_keep_one_tap_plane():

@@ -11,6 +11,7 @@ from filtra.representations import (
     dct_basis_dihedral,
     decompose_regular,
     frequency_columns,
+    group_dct_basis,
     intertwiner_residual,
     irrep,
     irrep_matrix,
@@ -210,6 +211,19 @@ def test_basis_inverse_is_exact():
         assert_allclose(basis.matrix @ basis.inverse(), np.eye(n), atol=1e-12)
         dbasis = dct_basis_dihedral(n)
         assert_allclose(dbasis.matrix @ dbasis.inverse(), np.eye(2 * n), atol=1e-12)
+
+
+def test_group_dct_basis_is_cached_and_read_only():
+    for group, build in ((cyclic_group, dct_basis_cyclic), (dihedral_group, dct_basis_dihedral)):
+        basis = group_dct_basis(group(6))
+        assert group_dct_basis(group(6)) is basis
+        assert not basis.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            basis.matrix[0, 0] = 2.0
+        fresh = build(6)
+        assert basis.matrix.tobytes() == fresh.matrix.tobytes() and basis.blocks == fresh.blocks
+        # the builders it caches still return fresh, writable bases
+        assert fresh.matrix.flags.writeable
 
 
 def test_decompose_regular_examples():
