@@ -40,10 +40,11 @@ GEN_KINDS = ("triv2reg", "irrep2reg", "reg2reg", "orn")
 
 @contextlib.contextmanager
 def _naming(option: str):
-    """Prefix a ValueError raised in the block with the option that caused it."""
+    """Prefix a ValueError or OSError raised in the block with the option that
+    caused it."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ValueError(f"{option}: {exc}") from None
 
 
@@ -139,9 +140,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with _naming("--mode"):
         modes = tuple(check_mode(mode) for mode in lists["mode"])
     config = SuiteConfig(groups=groups, sizes=sizes, modes=modes, seed=args.seed)
+    if args.report:
+        # an unwritable report path fails here, not after the whole suite
+        with _naming("--report"):
+            open(args.report, "a").close()
     reports = run_suite(config)
     if args.report:
-        Path(args.report).write_text(reports_to_csv(reports))
+        with _naming("--report"):
+            Path(args.report).write_text(reports_to_csv(reports))
     for r in reports:
         status = "pass" if r.passed() else "FAIL"
         print(
@@ -160,7 +166,7 @@ def _build_kernel(args: argparse.Namespace, spec: GroupSpec, bases: list[np.ndar
             raise ValueError(f"--{option}: {args.kind} takes no irrep frequency; only irrep2reg does")
     if args.kind == "orn":
         if spec.reflection_order != 1:
-            raise ValueError("orn kernels are defined on cyclic groups only")
+            raise ValueError(f"--kind: orn kernels are defined on cyclic groups only, got --group {spec.name}")
         if len(bases) != 1:
             raise ValueError("--base: orn takes exactly one base filter")
         return circulant_kernel(bases[0], spec.rotation_order, args.mode)
@@ -177,7 +183,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     bases = [read_filter_csv(path) for path in _comma_list(args.base)]
     kernel = _build_kernel(args, spec, bases)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with _naming("--out"):
+        out.mkdir(parents=True, exist_ok=True)
     ext = args.format
     writer = write_filter_csv if ext == "csv" else write_pgm
     rows, cols = kernel.grids.shape[:2]
@@ -241,7 +248,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 def cmd_demo(args: argparse.Namespace) -> int:
     image_path = Path(args.image)
     if not image_path.is_file():
-        raise ValueError(f"unreadable base filter file: {image_path}")
+        raise ValueError(f"--image: unreadable base filter file: {image_path}")
     base = read_filter_csv(image_path)
     n = parse_group(args.group).rotation_order
     families: dict[str, np.ndarray] = {}

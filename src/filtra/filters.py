@@ -14,13 +14,19 @@ Resampling through a linear coordinate map is a fixed sparse linear map on
 the pixels: one tap per pixel for nearest, up to four for bilinear.
 `sample_plane` takes a whole stack of maps at once, so the |G| copies of a
 filter transform, or the acted copies of a feature map, come from one
-gather.  The taps (flat source index and weight) are built once per (grid
-size, stack of maps, mode) and kept in a cache bounded in entries and in
-bytes, so each later call is a gather and a weighted sum.  A bilinear tap
-plane whose weight is 0 at every pixel of the stack is dropped when the
-taps are built: adding 0 * value to a partial sum that starts from +0.0
-changes no bits for finite values, and a map that lands on grid points (a
-quarter turn, a reflection) then costs one gather instead of four.
+gather.  The taps (flat `intp` source index and weight) are built once per
+(grid size, stack of maps, mode) and kept in a cache bounded in entries and
+in bytes.  A call works pixel-major: the batched grids are transposed once
+to (h*w, batch), so a tap copies one contiguous row holding every grid.  A
+bilinear call then takes, per tile of output pixels, one `take` of every
+tap plane, one in-place product with the weights and one sum over the
+planes from +0.0 in their fixed order; the tile bounds that temporary to
+about TAP_TILE doubles.  The pixel-major result is transposed back to
+(..., maps, h, w) once at the end.  A bilinear tap plane whose weight is 0
+at every pixel of the stack is dropped when the taps are built: adding
+0 * value to a partial sum that starts from +0.0 changes no bits for finite
+values, and a map that lands on grid points (a quarter turn, a reflection)
+then gathers one plane instead of four.
 
 Rotation angles are exact rationals: every rotation is a turn i1/N, reduced
 to lowest terms before cos/sin are evaluated, and near-integer cos/sin
@@ -151,7 +157,7 @@ def _build_taps(
     def flat_index(r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inside = (r >= 0) & (r < h) & (c >= 0) & (c < w)
         index = np.clip(r, 0, h - 1) * w + np.clip(c, 0, w - 1)
-        return index.ravel().astype(np.int32), inside.ravel()
+        return index.ravel().astype(np.intp), inside.ravel()
 
     if mode == "nearest":
         index, weight = flat_index(_round_half_down(fr), _round_half_down(fc))
@@ -178,6 +184,30 @@ def _build_taps(
 # the byte bound keeps a few large stacks from holding memory
 _sample_taps = _TapCache(_build_taps, maxsize=1024, maxbytes=32 << 20)
 
+# doubles in the live tap temporary of a bilinear `sample_plane` call (128
+# KiB): a tile holds as many output pixels of every plane and batched grid as
+# fit, and never fewer than one.  Untiled, the temporary is the output times
+# the plane count.
+TAP_TILE = 1 << 14
+
+
+def _weighted_tap_sum(source: np.ndarray, index: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """out[i] = sum over planes p of weight[p, i] * source[index[p, i]], for
+    a pixel-major (h*w, batch) source: one gather, one product and one sum
+    per tile of output pixels.  Each sum starts from +0.0 and adds the planes
+    in order.  A function of its own so that the last tile is freed before
+    `sample_plane` makes its transposed copy."""
+    planes, pixels = index.shape
+    batch = source.shape[1]
+    out = np.empty((pixels, batch))
+    tile = max(1, TAP_TILE // max(1, planes * batch))
+    for start in range(0, pixels, tile):
+        span = slice(start, start + tile)
+        taps = source.take(index[:, span], axis=0)
+        taps *= weight[:, span, None]
+        np.add.reduce(taps, axis=0, initial=0.0, out=out[span])
+    return out
+
 
 def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarray:
     """Resample a grid through a stack of linear coordinate maps.
@@ -189,7 +219,8 @@ def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarra
     leading dimensions of `values` are batched over every map of the stack.
     The taps are built once per (h, w, stack, mode) and cached; bilinear taps
     are summed in a fixed order starting from zero, so each map of a stack
-    gives the same bits as a call with that map alone.
+    gives the same bits as a call with that map alone, whatever the tiling.
+    The output is a new C-contiguous array.
     """
     check_mode(mode)
     values = np.asarray(values, dtype=float)
@@ -198,16 +229,16 @@ def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarra
         raise ValueError(f"coordinate maps must have shape (..., 2, 2), got {matrix.shape}")
     h, w = values.shape[-2:]
     index, weight = _sample_taps(h, w, tuple(matrix.ravel().tolist()), mode)
-    flat = values.reshape(*values.shape[:-2], h * w)
-    shape = values.shape[:-2] + matrix.shape[:-2] + (h, w)
+    lead = values.shape[:-2]
+    batch = math.prod(lead)
+    # pixel-major: a tap copies one contiguous row holding every batched grid
+    source = np.ascontiguousarray(values.reshape(batch, h * w).T)
     if mode == "nearest":
-        return np.where(weight, flat[..., index], 0.0).reshape(shape)
-    out = np.zeros(flat.shape[:-1] + index.shape[1:])
-    for idx, wt in zip(index, weight):
-        tap = flat[..., idx]
-        tap *= wt
-        out += tap
-    return out.reshape(shape)
+        out = source.take(index, axis=0)
+        out[~weight] = 0.0
+    else:
+        out = _weighted_tap_sum(source, index, weight)
+    return np.ascontiguousarray(out.T).reshape(lead + matrix.shape[:-2] + (h, w))
 
 
 def coordinate_matrix(g: GroupElement) -> np.ndarray:

@@ -122,19 +122,32 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
          "--k: orn takes no irrep frequency; only irrep2reg does"),
         (["gen", "--group", "d4", "--kind", "orn", "--j", "1"],
          "--j: orn takes no irrep frequency; only irrep2reg does"),
+        (["gen", "--group", "d4", "--kind", "orn"],
+         "--kind: orn kernels are defined on cyclic groups only, got --group d4"),
+        (["gen", "--group", "c4", "--kind", "triv2reg", "--out", "{base}"],
+         "--out: [Errno 17] File exists: '{base}'"),
+        (["demo", "--group", "c8", "--image", "{tmp}/missing.csv"],
+         "--image: unreadable base filter file: {tmp}/missing.csv"),
+        # the suite would print a line per family: it must not start
+        (["verify", "--group", "c4", "--report", "{tmp}"], "--report: [Errno 21] Is a directory: '{tmp}'"),
+        (["verify", "--group", "c4", "--report", "{tmp}/missing/report.csv"],
+         "--report: [Errno 2] No such file or directory: '{tmp}/missing/report.csv'"),
     ],
     ids=["gen-k", "gen-j", "gen-cyclic-j", "gen-base-count", "verify-mode", "demo-k", "demo-j",
-         "gen-triv2reg-j-k", "gen-triv2reg-j", "gen-reg2reg-k", "gen-orn-k", "gen-orn-dihedral-j"],
+         "gen-triv2reg-j-k", "gen-triv2reg-j", "gen-reg2reg-k", "gen-orn-k", "gen-orn-dihedral-j",
+         "gen-orn-dihedral", "gen-out-file", "demo-image-missing", "verify-report-dir", "verify-report-no-parent"],
 )
 def test_parameter_errors_name_the_option(argv, message, base_csv, tmp_path, capsys):
-    out = str(tmp_path / "out")
+    paths = {"base": base_csv, "tmp": tmp_path}
+    argv = [arg.format(**paths) for arg in argv]
+    # the case's own --out or --image comes last and wins
     files = {"gen": ["--base", str(base_csv)], "demo": ["--image", str(base_csv)]}
     if argv[0] in files:
-        argv = argv + files[argv[0]] + ["--out", out]
+        argv = argv[:1] + files[argv[0]] + ["--out", str(tmp_path / "out")] + argv[1:]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"filtra: error: {message}\n"
+    assert captured.err == f"filtra: error: {message.format(**paths)}\n"
 
 
 @pytest.mark.parametrize(

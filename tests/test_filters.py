@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from filtra import filters
 from filtra.filters import (
     _build_taps,
     _round_half_down,
@@ -361,6 +363,36 @@ def test_stacked_sample_plane_equals_per_matrix_calls(lead, stack, h, w, mode, s
         assert got[(Ellipsis,) + i + (slice(None), slice(None))].tobytes() == want.tobytes(), (i, maps[i])
         if h * w <= 20:
             assert want.tobytes() == _reference_sample_plane(values, maps[i], mode).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.sampled_from([(), (1,), (3,), (2, 5), (16,)]),
+    stack=st.sampled_from([(0,), (1,), (3,), (2, 3), (11,)]),
+    h=st.integers(1, 11),
+    w=st.integers(1, 11),
+    mode=st.sampled_from(["bilinear", "nearest"]),
+    tile=st.sampled_from([1, 7, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_plane_is_the_same_across_tiles(lead, stack, h, w, mode, tile, seed):
+    # tiny tiles cut the output pixels into many tiles, the last one short;
+    # rotations and the random maps send corner taps off the grid
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, lead + (h, w))
+    values.flat[rng.integers(values.size, size=3)] = -0.0
+    maps = _stack_matrices(rng, int(np.prod(stack))).reshape(stack + (2, 2))
+    with mock.patch.object(filters, "TAP_TILE", tile):
+        got = sample_plane(values, maps, mode)
+    with mock.patch.object(filters, "TAP_TILE", 1 << 40):
+        one_tile = sample_plane(values, maps, mode)
+    assert got.shape == lead + stack + (h, w)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == one_tile.tobytes()
+    if h * w <= 20:
+        for i in np.ndindex(*stack):
+            want = _reference_sample_plane(values, maps[i], mode)
+            assert got[(Ellipsis,) + i + (slice(None), slice(None))].tobytes() == want.tobytes(), (i, maps[i])
 
 
 def test_sample_plane_rejects_non_square_maps():

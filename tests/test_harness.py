@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from filtra import features, harness
+from filtra import features, filters, harness
 from filtra.features import feature_map
 from filtra.filters import coordinate_matrix, sample_plane
 from filtra.groups import cyclic_group, dihedral_group
@@ -244,3 +245,21 @@ def test_kernel_check_matches_einsum_formula(group, mode):
                 assert (abs_res, rel_res) == (0.0, 0.0), label
             assert abs(abs_res - ref_abs) <= 1e-14 * scale, (label, g)
             assert abs(rel_res - ref_rel) <= 1e-14 * max(1.0, ref_rel), (label, g)
+
+
+def test_kernel_check_memory_stays_within_three_grids():
+    # the left side, the mixed grids and the right side are three grid-sized
+    # arrays; the resampling may add one tile of taps, not a tap plane per
+    # corner (an untiled gather holds four grids of taps at once)
+    spec = dihedral_group(12)
+    kernel = dict(kernel_families(spec, 9, "bilinear", np.random.default_rng(0)))["rev:reg2reg"]
+    g = spec.element(0, 1)
+    check_kernel_equivariance(kernel, g)  # builds and caches the taps
+    tracemalloc.start()
+    try:
+        check_kernel_equivariance(kernel, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.grids.shape == (24, 24, 9, 9)
+    assert peak <= 3 * kernel.grids.nbytes + filters.TAP_TILE * 8
