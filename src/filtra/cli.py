@@ -39,12 +39,12 @@ GEN_KINDS = ("triv2reg", "irrep2reg", "reg2reg", "orn")
 
 
 @contextlib.contextmanager
-def _naming(option: str):
-    """Prefix a ValueError or OSError raised in the block with the option that
-    caused it."""
+def _naming(option: str, errors: tuple[type[Exception], ...] = (ValueError, OSError)):
+    """Prefix an error of the given types (by default a ValueError or OSError)
+    raised in the block with the option that caused it."""
     try:
         yield
-    except (ValueError, OSError) as exc:
+    except errors as exc:
         raise ValueError(f"{option}: {exc}") from None
 
 
@@ -180,7 +180,9 @@ def _build_kernel(args: argparse.Namespace, spec: GroupSpec, bases: list[np.ndar
 
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = parse_group(args.group)
-    bases = [read_filter_csv(path) for path in _comma_list(args.base)]
+    # a malformed file's message already starts with its path
+    with _naming("--base", OSError):
+        bases = [read_filter_csv(path) for path in _comma_list(args.base)]
     kernel = _build_kernel(args, spec, bases)
     out = Path(args.out)
     with _naming("--out"):
@@ -237,7 +239,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_capacity(args: argparse.Namespace) -> int:
     spec = parse_group(args.group)
     if spec.reflection_order != 1:
-        raise ValueError("capacity accounting is defined for cyclic groups, e.g. c8")
+        raise ValueError("--group: capacity accounting is defined for cyclic groups, e.g. c8")
     size = _odd_size(args.size)
     for kind in CAPACITY_KINDS:
         rep = capacity_report(spec.rotation_order, size, kind)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .filters import check_mode, coordinate_matrix, sample_plane
+from .filters import check_mode, coordinate_table, sample_plane
 from .groups import GroupElement, GroupSpec
 from .kernels import SteerableKernel
 from .representations import RepSpec, trivial_rep
@@ -126,21 +126,21 @@ def act_on_feature_stack(
 
     Every channel is resampled at the coordinates moved by each g's inverse
     in one gather, then each copy's channel blocks are mixed by the
-    representation of its g.  Each copy equals `act_on_feature(g, f, mode)`
-    bit for bit.
+    representation of its g in one batched matrix product, the same for
+    every kind of representation.  Each copy equals `act_on_feature(g, f,
+    mode)` bit for bit.
     """
     check_mode(mode)
     for g in elements:
         if g.spec != f.group:
             raise ValueError(f"element of {g.spec.name} acting on a {f.group.name} feature")
     n, m, d = len(elements), f.multiplicity, f.rep.dim
-    maps = np.array([coordinate_matrix(g.inverse()) for g in elements]).reshape(n, 2, 2)
+    maps = coordinate_table(f.group)[[g.inverse().index for g in elements]]
     # (C, n, H, W) from the gather; each copy's blocks made contiguous
     moved = sample_plane(f.data, maps, mode).swapaxes(0, 1)
-    moved = np.ascontiguousarray(moved).reshape(n, m, d, f.height, f.width)
+    moved = np.ascontiguousarray(moved).reshape(n, m, d, f.height * f.width)
     rho = np.array([f.rep.matrix(g) for g in elements]).reshape(n, d, d)
-    mixed = np.einsum("nab,nmbhw->nmahw", rho, moved)
-    return mixed.reshape(n, *f.data.shape)
+    return (rho[:, None] @ moved).reshape(n, *f.data.shape)
 
 
 def act_on_feature(g: GroupElement, f: FeatureMap, mode: str = "bilinear") -> FeatureMap:

@@ -8,7 +8,10 @@ decrease).  Samples outside the grid read as zero.
 The resampling surface is `sample_plane`, the one primitive;
 `coordinate_matrix` and `transform_filter` for a single group element; and
 `filter_transform`, which stacks a base filter with its rotated and
-reflected copies, one per element of the group.
+reflected copies, one per element of the group.  The coordinate maps of a
+group's elements are one read-only (|G|, 2, 2) table, `coordinate_table`,
+built once per group; `coordinate_matrix(g)` is its row `g.index`, so the
+steer checks and the group action read maps without fresh trigonometry.
 
 Resampling through a linear coordinate map is a fixed sparse linear map on
 the pixels: one tap per pixel for nearest, up to four for bilinear.
@@ -36,6 +39,7 @@ for every N and makes 90-degree multiples exact pixel permutations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import OrderedDict
@@ -241,14 +245,26 @@ def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarra
     return np.ascontiguousarray(out.T).reshape(lead + matrix.shape[:-2] + (h, w))
 
 
+@functools.lru_cache(maxsize=64)
+def coordinate_table(spec: GroupSpec) -> np.ndarray:
+    """The (|G|, 2, 2) coordinate maps of every element, row `g.index` for g,
+    built once per group and read-only.  Row g is the rotation by g's angle,
+    after the reflection y -> -y when g reflects."""
+    rows = []
+    for g in spec.elements():
+        c, s = rotation_cos_sin(g.i1, spec.rotation_order)
+        rot = np.array([[c, -s], [s, c]])
+        rows.append(rot @ np.diag([1.0, -1.0]) if g.i0 else rot)
+    table = np.array(rows)
+    table.setflags(write=False)
+    return table
+
+
 def coordinate_matrix(g: GroupElement) -> np.ndarray:
     """Matrix of g acting on centered coordinates: reflect (y -> -y) first
-    when i0 = 1, then rotate by the element's angle."""
-    c, s = rotation_cos_sin(g.i1, g.spec.rotation_order)
-    rot = np.array([[c, -s], [s, c]])
-    if g.i0:
-        rot = rot @ np.diag([1.0, -1.0])
-    return rot
+    when i0 = 1, then rotate by the element's angle.  A read-only row of
+    `coordinate_table`."""
+    return coordinate_table(g.spec)[g.index]
 
 
 def transform_filter(values: np.ndarray, g: GroupElement, mode: str = "bilinear") -> np.ndarray:

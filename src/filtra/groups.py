@@ -1,7 +1,8 @@
 """Elements of the reflection, cyclic and dihedral groups and their planar action.
 
 An element is a pair (i0, i1): i0 indexes the reflection component, i1 the
-rotation component.  The rotation index i1 corresponds to the angle
+rotation component; its `index` i0*N + i1 is its row in the per-group
+element tables.  The rotation index i1 corresponds to the angle
 2*pi*i1/N, and a group element acts on a planar angle phi as
 (-1)**i0 * phi + 2*pi*i1/N.
 """
@@ -86,6 +87,12 @@ class GroupElement:
             raise ValueError(f"reflection index {self.i0} out of range for {self.spec.name}")
         if not 0 <= self.i1 < self.spec.rotation_order:
             raise ValueError(f"rotation index {self.i1} out of range for {self.spec.name}")
+
+    @property
+    def index(self) -> int:
+        """Position i0*N + i1 in `spec.elements()`, on the regular-rep axis and
+        in the per-group element tables."""
+        return self.i0 * self.spec.rotation_order + self.i1
 
     @property
     def angle(self) -> float:

@@ -7,6 +7,13 @@ convolve-then-act against act-then-convolve on an interior crop.  The
 construction identities run the kernel assembly over free placeholder
 stacks, which isolates the representation algebra from any resampling
 error.
+
+A family is checked at all of its group's elements in chunks
+(`check_kernel_elements`): each chunk resamples every grid through the
+chunk's coordinate maps in one `sample_plane` call and conjugates by the
+chunk's stacked representation matrices in two batched products, bounded
+by CHECK_TILE doubles.  `check_kernel_equivariance` is the same body on a
+chunk of one element, and every residual pair is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMap, act_on_feature_stack, conv2d
-from .filters import coordinate_matrix, rotation_cos_sin, sample_plane
+from .filters import coordinate_matrix, sample_plane
 from .groups import GroupElement, GroupSpec, cyclic_group, dihedral_group
 from .kernels import (
     SteerableKernel,
@@ -37,23 +44,67 @@ IDENTITY_TOL = 1e-12
 FEATURE_SIDE = 15
 
 
+# doubles in one chunk of the stacked steer check (128 KiB): a chunk holds as
+# many elements as fit, each counting the kernel's grids and its two
+# representation matrices there, and never fewer than one.  The chunk's left
+# side, mixed grids and right side are each at most that size, and a regular
+# representation's matrices, |G| x |G| per element, cannot grow past it.
+CHECK_TILE = 1 << 14
+
+
 def check_kernel_equivariance(kernel: SteerableKernel, g: GroupElement) -> tuple[float, float]:
     """Max-abs and relative residual of the steerability constraint at g.
 
     The left side applies the coordinate transform to every grid; the right
     side conjugates the grid matrix by the output/input representations.
     """
+    # a chunk of one, from views of g's matrices: stacking them with np.array
+    # would add about a sixth to a small kernel's check (c16, S = 5)
+    rho_out, rho_in = kernel.rep_out.matrix(g), kernel.rep_in.matrix(g)
+    [residuals] = _steer_residuals(kernel, coordinate_matrix(g)[None], rho_out[None], rho_in[None])
+    return residuals
+
+
+def check_kernel_elements(
+    kernel: SteerableKernel, elements: Sequence[GroupElement]
+) -> list[tuple[float, float]]:
+    """`check_kernel_equivariance` at each element in order, checked in
+    chunks of as many elements as fit in CHECK_TILE doubles.  Every pair
+    equals a one-element call bit for bit."""
+    do, di = kernel.rep_out.dim, kernel.rep_in.dim
+    chunk = max(1, CHECK_TILE // (kernel.grids.size + do * do + di * di))
+    results = []
+    for start in range(0, len(elements), chunk):
+        part = elements[start : start + chunk]
+        rho_out = np.array([kernel.rep_out.matrix(g) for g in part])
+        rho_in = np.array([kernel.rep_in.matrix(g) for g in part])
+        results += _steer_residuals(kernel, np.array([coordinate_matrix(g) for g in part]), rho_out, rho_in)
+    return results
+
+
+def _steer_residuals(
+    kernel: SteerableKernel, maps: np.ndarray, rho_out: np.ndarray, rho_in: np.ndarray
+) -> list[tuple[float, float]]:
+    """The steer check at a chunk of n elements, given their stacked
+    coordinate maps (n, 2, 2) and representation matrices: one resampling of
+    every grid through the n maps and one batched conjugation.  Every product
+    and reduction works on one element's values alone, so each residual pair
+    is the same whatever the chunk."""
     grids = kernel.grids
     do, di, s, _ = grids.shape
-    lhs = sample_plane(grids, coordinate_matrix(g), kernel.mode)
-    # rho_out @ grid matrix @ rho_in^-1 as two matrix products; the inverse
-    # is the transpose because the representations are orthogonal
-    mixed = (kernel.rep_out.matrix(g) @ grids.reshape(do, di * s * s)).reshape(do, di, s * s)
-    rhs = (kernel.rep_in.matrix(g) @ mixed).reshape(grids.shape)
+    n = len(maps)
+    # (do * di, n, S * S): every grid resampled through each element's map
+    lhs = sample_plane(grids, maps, kernel.mode).reshape(do * di, n, s * s)
+    # rho_out @ grid matrix @ rho_in^-1 as two matrix products per element;
+    # the inverse is the transpose because the representations are orthogonal
+    mixed = (rho_out @ grids.reshape(do, di * s * s)).reshape(n, do, di, s * s)
+    rhs = (rho_in[:, None] @ mixed).reshape(n, do * di * s * s)
+    highs, lows = rhs.max(axis=1).tolist(), rhs.min(axis=1).tolist()
     # in place: lhs is a fresh array, and two more grid-sized temporaries
     # would raise the peak memory of a large kernel's check
-    lhs -= rhs
-    return _residuals(float(np.abs(lhs, out=lhs).max()), float(max(rhs.max(), -rhs.min())))
+    lhs -= rhs.reshape(n, do * di, s * s).transpose(1, 0, 2)
+    abs_res = np.abs(lhs, out=lhs).max(axis=(0, 2)).tolist()
+    return [_residuals(a, max(hi, -lo)) for a, hi, lo in zip(abs_res, highs, lows)]
 
 
 def _residuals(abs_res: float, scale: float) -> tuple[float, float]:
@@ -107,7 +158,9 @@ def is_exact_element(g: GroupElement, size: int, mode: str) -> bool:
     """
     if size == 1:
         return True
-    c, s = rotation_cos_sin(g.i1, g.spec.rotation_order)
+    # the reflection y -> -y fixes the x-axis, so the map's first column is
+    # the cosine and sine of g's rotation part
+    c, s = coordinate_matrix(g)[:, 0].tolist()
     if c == round(c) and s == round(s):
         return True
     if mode == "nearest" and size == 3:
@@ -205,11 +258,11 @@ def check_family(label: str, kernel: SteerableKernel, f: FeatureMap) -> Equivari
     """Check one kernel at every group element, and on the square feature
     map `f` at the elements exact on both the kernel's grid and f's grid."""
     group, size, mode = kernel.group, kernel.size, kernel.mode
+    elements = group.elements()
     per_element = []
     exact_max = full_max = feature_max = 0.0
     feature_elements = []
-    for g in group.elements():
-        abs_res, rel_res = check_kernel_equivariance(kernel, g)
+    for g, (abs_res, rel_res) in zip(elements, check_kernel_elements(kernel, elements)):
         per_element.append((g, abs_res, rel_res))
         full_max = max(full_max, abs_res)
         if is_exact_element(g, size, mode):

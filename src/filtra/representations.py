@@ -5,6 +5,11 @@ All representations used here are real and orthogonal.  The regular
 representation of a rotation is the cyclic permutation P(i1) = roll(I, i1, 0);
 a reflected dihedral element uses the anti-diagonal block built from
 B(i1) = flipud(P(-i1 - 1)).
+
+Each irrep is one read-only (|G|, d, d) table, d <= 2, built once per group
+by `irrep_table`; `irrep_matrix(g, j, k)` is its row `g.index`.  Regular
+matrices are |G| x |G| each, so they are built and cached per element
+instead: a table of them would hold |G|**3 values.
 """
 
 from __future__ import annotations
@@ -101,20 +106,31 @@ def irrep_matrix(g: GroupElement, j: int, k: int) -> np.ndarray:
     The two-dimensional case is the rotation by k*2*pi*i1/N followed by
     diag(1, -1) when g reflects, scaled by (-1)**(j*i0).  The one-dimensional
     cases are k = 0 and, for even N, k = N/2 where the rotation part is
-    (-1)**i1.
+    (-1)**i1.  A read-only row of `irrep_table`.
     """
-    spec = g.spec
+    return irrep_table(g.spec, j, k)[g.index]
+
+
+# a D_N has at most N + 2 irreps (j in {0, 1}, k in 0..N/2): room for every irrep of
+# a D_128 and then some, each table |G| matrices of at most 2 x 2
+@functools.lru_cache(maxsize=256)
+def irrep_table(spec: GroupSpec, j: int, k: int) -> np.ndarray:
+    """The (|G|, d, d) matrices of the (j, k) irrep at every element, row
+    `g.index` for g, built once per group and read-only."""
     _check_frequencies(spec, j, k)
-    n = spec.rotation_order
-    sign = (-1.0) ** (j * g.i0)
-    if irrep_dim(spec, k) == 1:
-        rot = (-1.0) ** g.i1 if k != 0 else 1.0
-        return np.array([[rot * sign]])
-    a = k * g.angle
-    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-    if g.i0:
-        rot = rot @ np.diag([1.0, -1.0])
-    return rot * sign
+    rows = []
+    for g in spec.elements():
+        if irrep_dim(spec, k) == 1:
+            rot = np.array([[(-1.0) ** g.i1 if k != 0 else 1.0]])
+        else:
+            a = k * g.angle
+            rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+            if g.i0:
+                rot = rot @ np.diag([1.0, -1.0])
+        rows.append(rot * (-1.0) ** (j * g.i0))
+    table = np.array(rows)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)

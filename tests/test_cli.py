@@ -132,10 +132,15 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
         (["verify", "--group", "c4", "--report", "{tmp}"], "--report: [Errno 21] Is a directory: '{tmp}'"),
         (["verify", "--group", "c4", "--report", "{tmp}/missing/report.csv"],
          "--report: [Errno 2] No such file or directory: '{tmp}/missing/report.csv'"),
+        (["gen", "--group", "c4", "--kind", "triv2reg", "--base", "{tmp}/missing.csv"],
+         "--base: [Errno 2] No such file or directory: '{tmp}/missing.csv'"),
+        (["capacity", "--group", "d8", "--size", "3"],
+         "--group: capacity accounting is defined for cyclic groups, e.g. c8"),
     ],
     ids=["gen-k", "gen-j", "gen-cyclic-j", "gen-base-count", "verify-mode", "demo-k", "demo-j",
          "gen-triv2reg-j-k", "gen-triv2reg-j", "gen-reg2reg-k", "gen-orn-k", "gen-orn-dihedral-j",
-         "gen-orn-dihedral", "gen-out-file", "demo-image-missing", "verify-report-dir", "verify-report-no-parent"],
+         "gen-orn-dihedral", "gen-out-file", "demo-image-missing", "verify-report-dir", "verify-report-no-parent",
+         "gen-base-missing", "capacity-dihedral"],
 )
 def test_parameter_errors_name_the_option(argv, message, base_csv, tmp_path, capsys):
     paths = {"base": base_csv, "tmp": tmp_path}

@@ -148,7 +148,7 @@ def one_element_action(g, f, mode):
     pass, then the channel blocks mixed by the representation of g."""
     moved = sample_plane(f.data, coordinate_matrix(g.inverse()), mode)
     m, d = f.multiplicity, f.rep.dim
-    mixed = np.einsum("ab,mbhw->mahw", f.rep.matrix(g), moved.reshape(m, d, f.height, f.width))
+    mixed = f.rep.matrix(g) @ moved.reshape(m, d, f.height * f.width)
     return mixed.reshape(f.data.shape)
 
 

@@ -15,6 +15,7 @@ from filtra.filters import (
     _TapCache,
     check_filter_grid,
     coordinate_matrix,
+    coordinate_table,
     filter_transform,
     rotation_cos_sin,
     sample_plane,
@@ -461,3 +462,36 @@ def test_grid_exact_bilinear_maps_keep_one_tap_plane():
     index, weight = _sample_taps(4, 2, _key(50.0 * np.eye(2)), "bilinear")
     assert index.shape == (1, 8) and not weight.any()
     assert sample_plane(np.ones((4, 2)), 50.0 * np.eye(2), "bilinear").tobytes() == np.zeros((4, 2)).tobytes()
+
+
+def _coordinate_formula(g):
+    """The coordinate map of g from its rotation's cosine and sine, after the
+    reflection y -> -y when g reflects."""
+    c, s = rotation_cos_sin(g.i1, g.spec.rotation_order)
+    rot = np.array([[c, -s], [s, c]])
+    if g.i0:
+        rot = rot @ np.diag([1.0, -1.0])
+    return rot
+
+
+def test_coordinate_table_rows_equal_the_formula():
+    for n in range(1, 33):
+        for spec in (cyclic_group(n), dihedral_group(n)):
+            table = coordinate_table(spec)
+            assert table.shape == (spec.order, 2, 2)
+            for g in spec.elements():
+                want = _coordinate_formula(g).tobytes()
+                assert coordinate_matrix(g).tobytes() == want, g
+                assert table[g.index].tobytes() == want, g
+
+
+def test_coordinate_table_is_read_only_and_built_once():
+    coordinate_table.cache_clear()
+    d8 = dihedral_group(8)
+    table = coordinate_table(d8)
+    assert not table.flags.writeable
+    for g in d8.elements():
+        with pytest.raises(ValueError, match="read-only"):
+            coordinate_matrix(g)[0, 0] = 2.0
+    assert coordinate_table(dihedral_group(8)) is table
+    assert coordinate_table.cache_info().misses == 1

@@ -97,3 +97,11 @@ def test_angle_action_is_left_action():
             for phi in phis:
                 diff = gh.angle_action(phi) - g.angle_action(h.angle_action(phi))
                 assert abs(math.remainder(diff, 2.0 * math.pi)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_element_index_is_position_in_elements(n):
+    for spec in (cyclic_group(n), dihedral_group(n)):
+        elements = spec.elements()
+        assert [g.index for g in elements] == list(range(spec.order))
+        assert all(g.index == elements.index(g) for g in elements)

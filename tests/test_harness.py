@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filtra import features, filters, harness
 from filtra.features import feature_map
@@ -14,6 +16,7 @@ from filtra.harness import (
     SuiteConfig,
     check_family,
     check_feature_equivariance,
+    check_kernel_elements,
     check_kernel_equivariance,
     is_exact_element,
     kernel_families,
@@ -263,3 +266,65 @@ def test_kernel_check_memory_stays_within_three_grids():
         tracemalloc.stop()
     assert kernel.grids.shape == (24, 24, 9, 9)
     assert peak <= 3 * kernel.grids.nbytes + filters.TAP_TILE * 8
+
+
+def test_family_check_memory_stays_within_three_grids():
+    # a kernel this large is checked one element per chunk, as the one-element
+    # check does; holding the chunks' arrays past their chunk would show here
+    spec = dihedral_group(12)
+    kernel = dict(kernel_families(spec, 9, "bilinear", np.random.default_rng(0)))["rev:reg2reg"]
+    elements = spec.elements()
+    check_kernel_elements(kernel, elements)  # builds and caches the taps
+    tracemalloc.start()
+    try:
+        check_kernel_elements(kernel, elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(elements) == 24
+    assert peak <= 3 * kernel.grids.nbytes + filters.TAP_TILE * 8
+
+
+def test_family_check_memory_stays_within_three_chunks():
+    # every element of a small kernel fits one chunk: its left side, mixed
+    # grids and right side are three chunk-sized arrays
+    spec = cyclic_group(8)
+    kernel = dict(kernel_families(spec, 3, "bilinear", np.random.default_rng(0)))["triv2reg"]
+    elements = spec.elements()
+    per_element = kernel.grids.size + kernel.rep_out.dim**2 + kernel.rep_in.dim**2
+    assert harness.CHECK_TILE // per_element >= len(elements)
+    check_kernel_elements(kernel, elements)
+    tracemalloc.start()
+    try:
+        check_kernel_elements(kernel, elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(elements) * kernel.grids.nbytes + filters.TAP_TILE * 8
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    n=st.integers(1, 32),
+    dihedral=st.booleans(),
+    size=st.sampled_from([1, 3, 5, 7, 9, 11]),
+    mode=st.sampled_from(["bilinear", "nearest"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_kernel_check_equals_one_element_calls(n, dihedral, size, mode, seed):
+    spec = dihedral_group(n) if dihedral else cyclic_group(n)
+    elements = spec.elements()
+    for label, kernel in kernel_families(spec, size, mode, np.random.default_rng(seed)):
+        single = [check_kernel_equivariance(kernel, g) for g in elements]
+        per_element = kernel.grids.size + kernel.rep_out.dim**2 + kernel.rep_in.dim**2
+        chunks = set()
+        # small tiles split the group into chunks of one or a few elements,
+        # the last one short; a tile that gives the chunks of a smaller one
+        # is not run again
+        for tile in (1, 7, 64, 1000, harness.CHECK_TILE):
+            if max(1, tile // per_element) in chunks:
+                continue
+            chunks.add(max(1, tile // per_element))
+            with mock.patch.object(harness, "CHECK_TILE", tile):
+                stacked = check_kernel_elements(kernel, elements)
+            assert np.array(stacked).tobytes() == np.array(single).tobytes(), (label, tile)

@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from filtra.filters import coordinate_table
 from filtra.groups import cyclic_group, dihedral_group
 from filtra.representations import (
     RepSpec,
@@ -15,6 +19,7 @@ from filtra.representations import (
     intertwiner_residual,
     irrep,
     irrep_matrix,
+    irrep_table,
     reflection_permutation,
     regular_rep,
     regular_rep_fractional,
@@ -283,3 +288,62 @@ def test_rep_spec_validation():
     rep = regular_rep(cyclic_group(4))
     with pytest.raises(ValueError):
         rep.matrix(dihedral_group(4).identity())
+
+
+def _irrep_formula(g, j, k):
+    """The (j, k) irrep at g: (-1)**i1 or 1 for the one-dimensional irreps,
+    else the rotation by k times g's angle, after diag(1, -1) when g
+    reflects; either way scaled by (-1)**(j * i0)."""
+    sign = (-1.0) ** (j * g.i0)
+    n = g.spec.rotation_order
+    if k == 0 or (n % 2 == 0 and k == n // 2):
+        rot = (-1.0) ** g.i1 if k != 0 else 1.0
+        return np.array([[rot * sign]])
+    a = k * g.angle
+    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    if g.i0:
+        rot = rot @ np.diag([1.0, -1.0])
+    return rot * sign
+
+
+def test_irrep_table_rows_equal_the_formula():
+    for n in range(1, 33):
+        for spec in (cyclic_group(n), dihedral_group(n)):
+            for j in range(spec.reflection_order):
+                for k in range(n // 2 + 1):
+                    table = irrep_table(spec, j, k)
+                    assert table.shape[0] == spec.order
+                    for g in spec.elements():
+                        want = _irrep_formula(g, j, k).tobytes()
+                        assert irrep_matrix(g, j, k).tobytes() == want, (g, j, k)
+                        assert table[g.index].tobytes() == want, (g, j, k)
+
+
+def test_irrep_tables_are_read_only_and_built_once_per_group():
+    irrep_table.cache_clear()
+    d6 = dihedral_group(6)
+    irreps = [(j, k) for j in (0, 1) for k in range(4)]
+    for j, k in irreps:
+        for g in d6.elements():
+            matrix = irrep_matrix(g, j, k)
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 2.0
+        assert not irrep_table(d6, j, k).flags.writeable
+        assert irrep_table(dihedral_group(6), j, k) is irrep_table(d6, j, k)
+    assert irrep_table.cache_info().misses == len(irreps)
+
+
+def test_element_tables_of_a_large_group_stay_small():
+    # a dense (|G|, |G|, |G|) regular stack of D_128 would take 134 MB
+    coordinate_table.cache_clear()
+    irrep_table.cache_clear()
+    d128 = dihedral_group(128)
+    tracemalloc.start()
+    try:
+        tables = [coordinate_table(d128)]
+        tables += [irrep_table(d128, j, k) for j in (0, 1) for k in range(65)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 131
+    assert peak < 2 << 20
