@@ -17,7 +17,7 @@ import numpy as np
 
 from .fileio import read_filter_csv, write_filter_csv, write_pgm
 from .groups import GroupSpec, cyclic_group, dihedral_group, parse_group
-from .harness import SuiteConfig, reports_to_csv, run_suite, suite_passes
+from .harness import FEATURE_SIDE, SuiteConfig, reports_to_csv, run_suite, suite_passes
 from .filters import check_mode
 from .kernels import (
     CAPACITY_KINDS,
@@ -137,6 +137,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     groups = tuple(parse_group(name) for name in lists["group"])
     sizes = tuple(_odd_size(s) for s in lists["size"])
+    for size in sizes:
+        if size > FEATURE_SIDE:
+            raise ValueError(
+                f"--size must be at most {FEATURE_SIDE}, the side of the feature maps the suite checks on, got {size}"
+            )
     with _naming("--mode"):
         modes = tuple(check_mode(mode) for mode in lists["mode"])
     config = SuiteConfig(groups=groups, sizes=sizes, modes=modes, seed=args.seed)

@@ -5,16 +5,26 @@ A feature map is a C x H x W tensor whose channels carry `multiplicity`
 copies of a representation, multiplicity-major: channel block b spans
 [b * dim, (b + 1) * dim).
 
-`conv2d` is im2col in row bands: the zero-padded S x S windows of a band of
-output rows are copied as (dim_in * S * S, rows * W) columns into one reused
+Correlation is im2col in row bands: the S x S windows of a band of output
+rows are copied as (dim_in * S * S, rows * W') columns into one reused
 buffer of about COLUMN_TILE doubles, then multiplied by the kernel flattened
 to (dim_out, dim_in * S * S) straight into the output.  The buffer is sized
 to stay in a core's L2 cache between the copy and the product.  The band
-height depends only on dim_in * S * S and W, so a block's result does not
-depend on how many blocks are convolved with it.  `pool_spatial` is a
-separable strided max: k in-place maxima over strided row slices into a
-(C, out_h, W) buffer, then k over its strided column slices; the map is
-copied into a zero-padded one only when the windows run past its edge.
+height depends only on dim_in * S * S and the output width W', so a block's
+result does not depend on how many blocks are correlated with it.  `conv2d`
+copies each block into the interior of one reused zero-bordered buffer and
+correlates that.  `_correlate` with no padding reads the map itself and
+gives the valid (H - S + 1) x (W - S + 1) output, which is `conv2d`'s
+interior crop up to BLAS rounding, because no window there reaches the
+padding.  The equivariance harness runs both sides of its feature check on
+it.  The action on a cropped map reads zero outside the crop, so only at an
+element that maps the grid onto itself does it equal the crop of the acted
+full map.
+
+`pool_spatial` is a separable strided max: k in-place maxima over strided
+row slices into a (C, out_h, W) buffer, then k over its strided column
+slices; the map is copied into a zero-padded one only when the windows run
+past its edge.
 
 Finiteness is checked where data enters the library, in `feature_map` and
 `fileio.read_feature_csv`.  `FeatureMap` does not scan its data, so maps
@@ -87,9 +97,13 @@ def feature_map(group: GroupSpec, rep: RepSpec, data: np.ndarray) -> FeatureMap:
     return FeatureMap(group, rep, data)
 
 
-def conv2d(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
-    """Cross-correlate the feature map with the kernel: zero padding, stride 1,
-    same spatial size; output carries the kernel's output representation."""
+def _correlate(kernel: SteerableKernel, f: FeatureMap, pad: int) -> FeatureMap:
+    """Cross-correlate the feature map, zero-padded by `pad` on each side,
+    with the kernel at stride 1; the output has H + 2 pad - S + 1 rows and
+    W + 2 pad - S + 1 columns and carries the kernel's output
+    representation.  `pad` = 0 is the valid correlation, which reads the map
+    itself; otherwise each block in turn is copied into the interior of one
+    reused zero-bordered buffer."""
     if f.group != kernel.group:
         raise ValueError(f"feature group {f.group.name} != kernel group {kernel.group.name}")
     if f.rep != kernel.rep_in:
@@ -97,25 +111,31 @@ def conv2d(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
     s = kernel.size
     if f.height < s or f.width < s:
         raise ValueError(f"spatial size {f.height}x{f.width} smaller than the kernel size {s}")
-    m, h, w = f.multiplicity, f.height, f.width
-    do, di = kernel.rep_out.dim, kernel.rep_in.dim
-    r, k = s // 2, di * s * s
-    # one block at a time goes into the interior of a zero-bordered buffer
-    padded = np.zeros((di, h + 2 * r, w + 2 * r))
-    # (di, S, S, H, W): window offset first, output pixel last
-    windows = sliding_window_view(padded, (s, s), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
-    rows = min(h, max(1, COLUMN_TILE // (k * w)))
-    buffer = np.empty(k * rows * w)
+    blocks = f.blocks()
+    (m, di, h, w), do = blocks.shape, kernel.rep_out.dim
+    source = np.zeros((1, di, h + 2 * pad, w + 2 * pad)) if pad else blocks
+    oh, ow, k = h + 2 * pad - s + 1, w + 2 * pad - s + 1, di * s * s
+    # (blocks, di, S, S, H', W'): window offset first, output pixel last
+    windows = sliding_window_view(source, (s, s), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    rows = min(oh, max(1, COLUMN_TILE // (k * ow)))
+    buffer = np.empty(k * rows * ow)
     weights = kernel.grids.reshape(do, k)
-    out = np.empty((m, do, h * w))
-    for b, block in enumerate(f.blocks()):
-        padded[:, r : r + h, r : r + w] = block
-        for y in range(0, h, rows):
-            band = min(rows, h - y)
-            columns = buffer[: k * band * w].reshape(k, band * w)
-            np.copyto(columns.reshape(di, s, s, band, w), windows[:, :, :, y : y + band])
-            np.matmul(weights, columns, out=out[b, :, y * w : (y + band) * w])
-    return FeatureMap(f.group, kernel.rep_out, out.reshape(m * do, h, w))
+    out = np.empty((m, do, oh * ow))
+    for b in range(m):
+        if pad:
+            source[0, :, pad : pad + h, pad : pad + w] = blocks[b]
+        for y in range(0, oh, rows):
+            band = min(rows, oh - y)
+            columns = buffer[: k * band * ow].reshape(k, band * ow)
+            np.copyto(columns.reshape(di, s, s, band, ow), windows[0 if pad else b, :, :, :, y : y + band])
+            np.matmul(weights, columns, out=out[b, :, y * ow : (y + band) * ow])
+    return FeatureMap(f.group, kernel.rep_out, out.reshape(m * do, oh, ow))
+
+
+def conv2d(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
+    """Cross-correlate the feature map with the kernel: zero padding, stride 1,
+    same spatial size; output carries the kernel's output representation."""
+    return _correlate(kernel, f, kernel.size // 2)
 
 
 def act_on_feature_stack(

@@ -3,10 +3,12 @@ and on the kernel assembly itself, with machine-readable reports.
 
 The kernel-level check compares the filter-transformed kernel against the
 representation-conjugated kernel; the feature-level check compares
-convolve-then-act against act-then-convolve on an interior crop.  The
-construction identities run the kernel assembly over free placeholder
-stacks, which isolates the representation algebra from any resampling
-error.
+convolve-then-act against act-then-convolve on the valid crop, the interior
+(H - S + 1) x (W - S + 1) pixels whose windows stay inside the map: both
+sides are correlated without padding and nothing outside the crop is
+computed.  The construction identities run the kernel assembly over free
+placeholder stacks, which isolates the representation algebra from any
+resampling error.
 
 A family is checked at all of its group's elements in chunks
 (`check_kernel_elements`): each chunk resamples every grid through the
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMap, act_on_feature_stack, conv2d
+from .features import FeatureMap, _correlate, act_on_feature_stack
 from .filters import coordinate_matrix, sample_plane
 from .groups import GroupElement, GroupSpec, cyclic_group, dihedral_group
 from .kernels import (
@@ -122,30 +124,31 @@ def check_feature_equivariance(
     kernel: SteerableKernel, f: FeatureMap, elements: Sequence[GroupElement]
 ) -> list[tuple[float, float]]:
     """Max-abs and relative residual between conv-then-act and act-then-conv,
-    on the interior crop, for each element in order.
+    on the valid crop, for each element in order.
 
-    `f` is convolved once.  The acted copies of `f` come from one stacked
-    action, are stacked along the multiplicity axis and convolved in one
-    call; the acted copies of the convolved map come from a second stacked
-    action.  Both the action and conv2d compute each copy independently of
-    the others, so every pair equals a one-element call bit for bit.
-    Boundary pixels mix with zero padding under the action, so a margin of
-    half the kernel size is excluded on each side.
+    Boundary pixels mix with zero padding under a "same" convolution, so
+    both sides keep only the interior (H - S + 1) x (W - S + 1) crop, whose
+    windows stay inside the map, and are computed there alone: the acted
+    copies of `f` come from one stacked action and are valid-correlated in
+    one call; `f` is valid-correlated once and its crop acted on by a second
+    stacked action.  An element exact on the grid maps the centred odd crop
+    onto itself, so acting on the crop equals cropping the full action; at
+    an element that is not exact, the action reads zero outside the crop.
+    Both sides correlate with the same band widths, and the action and the
+    correlation compute each copy independently of the others, so every
+    pair equals a one-element call bit for bit and the identity's is 0.
     """
     if not elements:
         return []
     mode = kernel.mode
     n, (c, h, w) = len(elements), f.data.shape
     acted = act_on_feature_stack(elements, f, mode)
-    acted_first = conv2d(kernel, FeatureMap(f.group, f.rep, acted.reshape(n * c, h, w))).data
-    acted_last = act_on_feature_stack(elements, conv2d(kernel, f), mode)
-    m = kernel.size // 2
-    sl = (slice(None), slice(m, h - m), slice(m, w - m))
-    results = []
-    for first, last in zip(acted_first.reshape(acted_last.shape), acted_last):
-        first, last = first[sl], last[sl]
-        results.append(_residuals(float(np.abs(first - last).max()), float(np.abs(last).max())))
-    return results
+    # two calls: one over f and its copies would first concatenate them
+    acted_first = _correlate(kernel, FeatureMap(f.group, f.rep, acted.reshape(n * c, h, w)), 0).data
+    acted_last = act_on_feature_stack(elements, _correlate(kernel, f, 0), mode)
+    diff = np.abs(acted_first.reshape(acted_last.shape) - acted_last).reshape(n, -1).max(axis=1)
+    scale = np.abs(acted_last).reshape(n, -1).max(axis=1)
+    return [_residuals(a, s) for a, s in zip(diff.tolist(), scale.tolist())]
 
 
 def is_exact_element(g: GroupElement, size: int, mode: str) -> bool:
@@ -255,8 +258,9 @@ class SuiteConfig:
 
 
 def check_family(label: str, kernel: SteerableKernel, f: FeatureMap) -> EquivarianceReport:
-    """Check one kernel at every group element, and on the square feature
-    map `f` at the elements exact on both the kernel's grid and f's grid."""
+    """Check one kernel at every group element, and on the valid crop of the
+    square feature map `f` at the elements exact on both the kernel's grid
+    and f's grid."""
     group, size, mode = kernel.group, kernel.size, kernel.mode
     elements = group.elements()
     per_element = []
@@ -268,7 +272,8 @@ def check_family(label: str, kernel: SteerableKernel, f: FeatureMap) -> Equivari
         if is_exact_element(g, size, mode):
             exact_max = max(exact_max, abs_res)
             # the feature grid must also map onto itself (the 3x3 eighth-turn
-            # exception does not extend to it)
+            # exception does not extend to it); then so does its centred
+            # valid crop, where the feature check compares the two sides
             if is_exact_element(g, f.height, mode):
                 feature_elements.append(g)
     for feat_res, _ in check_feature_equivariance(kernel, f, feature_elements):

@@ -178,10 +178,6 @@ class CapacityReport:
     independent_weights: int
     stored_filter_scalars: int
 
-    def __post_init__(self) -> None:
-        if self.independent_weights > self.stored_filter_scalars:
-            raise ValueError("independent weights cannot exceed stored scalars")
-
 
 def capacity_report(n: int, size: int, kind: str) -> CapacityReport:
     """Free-weight versus stored-scalar counts for an N x N regular-to-regular

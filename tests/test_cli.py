@@ -66,6 +66,23 @@ def test_verify_rejects_invalid_size(size, capsys):
     assert "--size" in captured.err and "positive odd integer" in captured.err
 
 
+@pytest.mark.parametrize("sizes", ["17", "3,17"])
+def test_verify_rejects_size_beyond_feature_maps_before_running(sizes, capsys):
+    # the S = 3 families would print a line each if the suite started
+    assert main(["verify", "--group", "c4", "--size", sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "filtra: error: --size must be at most 15, the side of the feature maps the suite checks on, got 17\n"
+    )
+
+
+def test_verify_accepts_size_equal_to_feature_maps(capsys):
+    # a 15 x 15 kernel on 15 x 15 maps leaves a valid crop of one pixel
+    assert main(["verify", "--group", "c4,d2", "--size", "15"]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+
+
 @pytest.mark.parametrize("option", ["--group", "--size", "--mode"])
 @pytest.mark.parametrize("value", ["", " , "], ids=["empty", "blank"])
 def test_verify_empty_option_is_usage_error(option, value, capsys):

@@ -2,13 +2,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from filtra import features
 from filtra.features import (
     COLUMN_TILE,
+    _correlate,
     act_on_feature,
     act_on_feature_stack,
     conv2d,
@@ -380,3 +381,38 @@ def test_conv_property_matches_loop_and_is_linear(reps, m, s, dh, dw, tile, seed
         cx, cy, cxy = (conv2d(kernel, feature_map(d2, rin, v)).data for v in (x, y, a * x + b * y))
     assert_allclose(cx, loop_conv2d(grids, x), rtol=0, atol=1e-12)
     assert_allclose(cxy, a * cx + b * cy, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    reps=st.sampled_from([(a, b) for a in ("trivial", "irrep", "regular") for b in ("trivial", "irrep", "regular")]),
+    m=st.integers(1, 3),
+    s=st.sampled_from([1, 3, 5, 9]),
+    dh=st.integers(0, 16),
+    dw=st.integers(0, 16),
+    tile=st.sampled_from([COLUMN_TILE, 1, 40, 300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(reps=("regular", "regular"), m=2, s=9, dh=0, dw=0, tile=COLUMN_TILE, seed=0)  # one output pixel
+@example(reps=("irrep", "regular"), m=1, s=1, dh=0, dw=16, tile=40, seed=1)  # a 1 x 17 map
+def test_valid_correlation_is_the_interior_crop_of_conv(reps, m, s, dh, dw, tile, seed):
+    d4 = dihedral_group(4)
+    by_name = {"trivial": trivial_rep(d4), "irrep": irrep(d4, 1, 1), "regular": regular_rep(d4)}
+    rin, rout = by_name[reps[0]], by_name[reps[1]]
+    h, w = s + min(dh, 17 - s), s + min(dw, 17 - s)
+    rng = np.random.default_rng(seed)
+    kernel = SteerableKernel(d4, rin, rout, rng.uniform(-1, 1, (rout.dim, rin.dim, s, s)), "bilinear")
+    f = feature_map(d4, rin, rng.uniform(-1, 1, (m * rin.dim, h, w)))
+    r = s // 2
+    with mock.patch.object(features, "COLUMN_TILE", tile):
+        valid = _correlate(kernel, f, 0)
+        crop = conv2d(kernel, f).data[:, r : h - r, r : w - r]
+        # each block alone: its bits do not depend on the blocks beside it
+        blocks = f.data.reshape(m, -1, h, w)
+        alone = [_correlate(kernel, feature_map(d4, rin, block), 0).data for block in blocks]
+    assert valid.rep == rout
+    assert valid.data.shape == (m * rout.dim, h - s + 1, w - s + 1)
+    # not bit for bit: the band widths, and so BLAS's rounding, differ
+    assert_allclose(valid.data, crop, rtol=0, atol=1e-12)
+    assert np.concatenate(alone).tobytes() == valid.data.tobytes()
+

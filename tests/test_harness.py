@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filtra import features, filters, harness
-from filtra.features import feature_map
+from filtra.features import FeatureMap, act_on_feature_stack, conv2d, feature_map
 from filtra.filters import coordinate_matrix, sample_plane
 from filtra.groups import cyclic_group, dihedral_group
 from filtra.harness import (
+    FEATURE_SIDE,
     IDENTITY_TOL,
     SuiteConfig,
     check_family,
@@ -31,7 +32,7 @@ from filtra.kernels import (
     regular_to_regular_dihedral,
     trivial_to_regular_cyclic,
 )
-from filtra.representations import irrep, trivial_rep
+from filtra.representations import irrep, regular_rep, trivial_rep
 
 RNG = np.random.default_rng(11)
 
@@ -116,6 +117,57 @@ def test_batched_feature_check_equals_one_element_calls(group, tile):
             assert np.array(batched).tobytes() == np.array(single).tobytes(), label
             assert batched[2] == (0.0, 0.0), label
     assert check_feature_equivariance(kernel, f, []) == []
+
+
+def _feature_check_on_full_maps(kernel, f, elements):
+    """The feature check computed on full maps: "same" convolutions of the
+    acted copies and of f, the action on the full convolved map, then the
+    interior crop of both sides."""
+    n, (c, h, w) = len(elements), f.data.shape
+    acted = act_on_feature_stack(elements, f, kernel.mode)
+    first = conv2d(kernel, FeatureMap(f.group, f.rep, acted.reshape(n * c, h, w))).data
+    last = act_on_feature_stack(elements, conv2d(kernel, f), kernel.mode)
+    m = kernel.size // 2
+    crop = (slice(None), slice(m, h - m), slice(m, w - m))
+    results = []
+    for a, b in zip(first.reshape(last.shape), last):
+        diff = float(np.abs(a[crop] - b[crop]).max())
+        results.append((diff, diff / float(np.abs(b[crop]).max())))
+    return results
+
+
+@pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+@pytest.mark.parametrize("size", [3, 5, 9])
+@pytest.mark.parametrize("group", [cyclic_group(8), dihedral_group(8)], ids=lambda g: g.name)
+def test_feature_check_on_the_crop_matches_the_full_map_computation(group, size, mode):
+    rng = np.random.default_rng(size)
+    elements = [g for g in group.elements() if is_exact_element(g, FEATURE_SIDE, mode)]
+    for label, kernel in kernel_families(group, size, mode, rng):
+        f = feature_map(group, kernel.rep_in, rng.uniform(-1, 1, (kernel.rep_in.dim, FEATURE_SIDE, FEATURE_SIDE)))
+        got = check_feature_equivariance(kernel, f, elements)
+        want = _feature_check_on_full_maps(kernel, f, elements)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=label)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["bilinear", "nearest"]))
+@pytest.mark.parametrize("size", [3, 5, 9, 13, 15])
+@pytest.mark.parametrize("rep_in", ["trivial", "regular"])
+@pytest.mark.parametrize("group", [cyclic_group(4), dihedral_group(4)], ids=lambda g: g.name)
+def test_feature_check_fails_a_kernel_that_does_not_steer(group, rep_in, size, seed, mode):
+    # random grids: the valid crop, down to one pixel at S = 15, must still
+    # show the kernel failing at every element other than the identity
+    rng = np.random.default_rng(seed)
+    rin = trivial_rep(group) if rep_in == "trivial" else regular_rep(group)
+    grids = rng.uniform(-1, 1, (group.order, rin.dim, size, size))
+    kernel = SteerableKernel(group, rin, regular_rep(group), grids, mode)
+    f = feature_map(group, rin, rng.uniform(-1, 1, (rin.dim, FEATURE_SIDE, FEATURE_SIDE)))
+    elements = group.elements()
+    results = check_feature_equivariance(kernel, f, elements)
+    assert results[0] == (0.0, 0.0)
+    for g, (abs_res, _) in zip(elements[1:], results[1:]):
+        assert abs_res > 1e-3, (g.i0, g.i1)
+    assert check_family("random", kernel, f).feature_exact_max > 1e-3
 
 
 def test_is_exact_element():
