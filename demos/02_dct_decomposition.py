@@ -9,21 +9,13 @@ regular-to-regular kernel.
 
 import numpy as np
 
-from filtra import (
-    cyclic_group,
-    dct_basis_cyclic,
-    dct_basis_dihedral,
-    decompose_regular,
-    dihedral_group,
-    regular_rep_fractional,
-    regular_rep_matrix,
-    rotation_permutation,
-)
+from filtra import cyclic_group, decompose_regular, dihedral_group, regular_rep_matrix
+from filtra.representations import group_dct_basis
 
 np.set_printoptions(precision=3, suppress=True, linewidth=140)
 
 n = 6
-v = dct_basis_cyclic(n)
+v = group_dct_basis(cyclic_group(n))
 print(f"cyclic basis for N={n} (column blocks {[(j, k) for j, k, _ in v.blocks]}):")
 print(v.matrix)
 
@@ -43,12 +35,4 @@ h = dihedral_group(n).element(1, 2)
 basis_w, d_w = decompose_regular(h)
 residual = np.abs(basis_w.matrix @ d_w @ basis_w.inverse() - regular_rep_matrix(h)).max()
 print(f"\ndihedral reconstruction residual at {h}: {residual:.2e}")
-print("W column blocks:", [(j, k) for j, k, _ in dct_basis_dihedral(n).blocks])
-
-# Because the irrep blocks are trigonometric in the rotation index, the
-# regular representation extends to fractional indices: a smooth (nonlinear)
-# interpolation between neighboring permutation matrices.
-print("\nregular representation of C_4 at fractional rotation index t=0.5:")
-print(regular_rep_fractional(4, 0.5))
-print("at t=1 it lands exactly on the cyclic shift:")
-print(np.abs(regular_rep_fractional(4, 1.0) - rotation_permutation(4, 1)).max())
+print("W column blocks:", [(j, k) for j, k, _ in group_dct_basis(dihedral_group(n)).blocks])

@@ -10,7 +10,8 @@ honest interpolation.
 
 import numpy as np
 
-from filtra import cyclic_group, dihedral_group, filter_transform, transform_filter
+from filtra import cyclic_group, dihedral_group, filter_transform
+from filtra.filters import coordinate_matrix, sample_plane
 
 np.set_printoptions(precision=3, suppress=True)
 
@@ -47,12 +48,13 @@ print(d4[4])
 for i, entry in enumerate(d4[5:], start=5):
     print(f"entry {i} (reflection, then {i - 4} quarter turn(s)):\n{entry}")
 
-# transform_filter evaluates a filter at coordinates moved by one group
-# element: reflections first, then rotation.  The filter transform's copy
-# for element g is the patch evaluated at g^-1 x.
+# sample_plane through one element's coordinate map evaluates a filter at
+# coordinates moved by that element: reflections first, then rotation.  The
+# filter transform's copy for element g is the patch evaluated at g^-1 x.
 group = dihedral_group(4)
 g = group.element(1, 1)
+moved = sample_plane(patch, coordinate_matrix(g), "bilinear")
 print(f"\npatch evaluated at coordinates moved by {g}:")
-print(transform_filter(patch, g))
+print(moved)
 print("equals the filter transform's entry for its inverse:",
-      np.array_equal(transform_filter(patch, g), d4[group.elements().index(g.inverse())]))
+      np.array_equal(moved, d4[group.elements().index(g.inverse())]))

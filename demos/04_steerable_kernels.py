@@ -1,8 +1,8 @@
 """Building steerable kernels by filter transform and checking steerability.
 
 A kernel is steerable when evaluating it at transformed coordinates equals
-conjugating it by the input/output representations.  Each constructor here
-realizes one (rep_in -> rep_out) pair from plain rotated copies of base
+conjugating it by the input/output representations.  `steerable_kernel`
+realizes each (rep_in -> regular) pair from plain rotated copies of base
 filters; the check prints the worst deviation over all group elements.
 """
 
@@ -14,11 +14,11 @@ from filtra import (
     circulant_kernel,
     cyclic_group,
     dihedral_group,
-    irrep_to_regular_cyclic,
-    irrep_to_regular_dihedral,
-    regular_to_regular_cyclic,
+    irrep,
+    regular_rep,
     reverse_kernel,
-    trivial_to_regular_cyclic,
+    steerable_kernel,
+    trivial_rep,
 )
 
 np.set_printoptions(precision=3, suppress=True)
@@ -34,22 +34,22 @@ base = rng.uniform(-1.0, 1.0, (3, 3))
 
 # Trivial -> regular: the kernel rows are simply the rotated copies; a rotated
 # input makes the output channels cycle.
-k1 = trivial_to_regular_cyclic(base, 4)
+k1 = steerable_kernel(trivial_rep(cyclic_group(4)), [base])
 print(f"trivial->regular on c4: {k1.grids.shape[0]}x{k1.grids.shape[1]} grids, "
       f"worst residual {worst_residual(k1):.2e}")
 
 # Irrep -> regular: each rotated copy is scaled by the cosine/sine values of
 # the input frequency.
-k2 = irrep_to_regular_cyclic(base, 4, 1)
+k2 = steerable_kernel(irrep(cyclic_group(4), 0, 1), [base])
 print(f"irrep(k=1)->regular on c4: worst residual {worst_residual(k2):.2e}")
 
-k3 = irrep_to_regular_dihedral(base, 4, 1, 1)
+k3 = steerable_kernel(irrep(dihedral_group(4), 1, 1), [base])
 print(f"irrep(j=1,k=1)->regular on d4: worst residual {worst_residual(k3):.2e}")
 
 # Regular -> regular: one independent base filter per frequency block, mixed
 # by the inverse DCT basis.
 bases = [rng.uniform(-1.0, 1.0, (3, 3)) for _ in range(3)]
-k4 = regular_to_regular_cyclic(bases, 4)
+k4 = steerable_kernel(regular_rep(cyclic_group(4)), bases)
 print(f"regular->regular on c4: worst residual {worst_residual(k4):.2e}")
 
 # Transposing a steerable kernel reverses its direction (all representations
@@ -69,7 +69,7 @@ for kind in ("reg2reg", "orn"):
 
 # Interpolation honesty: at angles that do not map the grid to itself the
 # constraint holds only approximately, and the residual is simply reported.
-k7 = trivial_to_regular_cyclic(rng.uniform(-1.0, 1.0, (9, 9)), 8)
+k7 = steerable_kernel(trivial_rep(cyclic_group(8)), [rng.uniform(-1.0, 1.0, (9, 9))])
 c8 = cyclic_group(8)
 print("\nper-element residuals for a 9x9 trivial->regular kernel on c8 (bilinear):")
 for g in c8.elements():
@@ -78,8 +78,8 @@ for g in c8.elements():
     print(f"  rotation index {g.i1}: {abs_res:.3e}  ({tag})")
 
 # Nearest-neighbor 3x3 kernels are exact for every element of c8/d8.
-k8 = trivial_to_regular_cyclic(base, 8, "nearest")
+k8 = steerable_kernel(trivial_rep(cyclic_group(8)), [base], "nearest")
 print(f"\n3x3 nearest trivial->regular on c8: worst residual {worst_residual(k8):.2e}")
 d8 = dihedral_group(8)
-k9 = irrep_to_regular_dihedral(base, 8, 1, 1, "nearest")
+k9 = steerable_kernel(irrep(dihedral_group(8), 1, 1), [base], "nearest")
 print(f"3x3 nearest irrep->regular on d8: worst residual {worst_residual(k9):.2e}")

@@ -18,10 +18,10 @@ from filtra import (
     group_pool,
     irrep,
     pool_spatial,
+    regular_rep,
     relu_channelwise,
-    regular_to_regular_cyclic,
+    steerable_kernel,
     trivial_rep,
-    trivial_to_regular_cyclic,
 )
 
 np.set_printoptions(precision=3, suppress=True)
@@ -45,14 +45,14 @@ print("irrep channels: vector rotated by 90 degrees:",
       np.allclose(v_out, np.array([[0, -1], [1, 0]]) @ v_in))
 
 # Convolution with a steerable kernel commutes with the action.
-kernel = trivial_to_regular_cyclic(rng.uniform(-1.0, 1.0, (3, 3)), 4)
+kernel = steerable_kernel(trivial_rep(c4), [rng.uniform(-1.0, 1.0, (3, 3))])
 f = feature_map(c4, trivial_rep(c4), rng.uniform(-1.0, 1.0, (1, 15, 15)))
 for g, (abs_res, _) in zip(c4.elements(), check_feature_equivariance(kernel, f, c4.elements())):
     print(f"conv/act commutation at rotation index {g.i1}: {abs_res:.2e}")
 
 # A small steerable pipeline stays equivariant end to end, and group pooling
 # at the top produces a rotation-invariant map.
-reg_kernel = regular_to_regular_cyclic([rng.uniform(-1.0, 1.0, (3, 3)) for _ in range(3)], 4)
+reg_kernel = steerable_kernel(regular_rep(c4), [rng.uniform(-1.0, 1.0, (3, 3)) for _ in range(3)])
 
 
 def network(x):

@@ -268,13 +268,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
     families["stack_reflected"] = families["triv2reg_dihedral"][n:]
     out = Path(args.out)
     count = 0
-    for name, grids in families.items():
-        family_dir = out / name
-        family_dir.mkdir(parents=True, exist_ok=True)
-        for r in range(grids.shape[0]):
-            for c in range(grids.shape[1]):
-                write_pgm(family_dir / f"r{r}_c{c}.pgm", grids[r, c])
-                count += 1
+    with _naming("--out"):
+        for name, grids in families.items():
+            family_dir = out / name
+            family_dir.mkdir(parents=True, exist_ok=True)
+            for r in range(grids.shape[0]):
+                for c in range(grids.shape[1]):
+                    write_pgm(family_dir / f"r{r}_c{c}.pgm", grids[r, c])
+                    count += 1
     print(f"wrote {count} PGM dumps under {out}")
     return 0
 

@@ -38,7 +38,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .filters import check_mode, coordinate_table, sample_plane
 from .groups import GroupElement, GroupSpec
@@ -116,7 +116,8 @@ def _correlate(kernel: SteerableKernel, f: FeatureMap, pad: int) -> FeatureMap:
     source = np.zeros((1, di, h + 2 * pad, w + 2 * pad)) if pad else blocks
     oh, ow, k = h + 2 * pad - s + 1, w + 2 * pad - s + 1, di * s * s
     # (blocks, di, S, S, H', W'): window offset first, output pixel last
-    windows = sliding_window_view(source, (s, s), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    strides = source.strides + source.strides[2:]
+    windows = as_strided(source, (len(source), di, s, s, oh, ow), strides, writeable=False)
     rows = min(oh, max(1, COLUMN_TILE // (k * ow)))
     buffer = np.empty(k * rows * ow)
     weights = kernel.grids.reshape(do, k)

@@ -5,13 +5,14 @@ Grids are square with odd side length so a center pixel exists; the center
 pixel sits at the origin, x grows rightward (columns), y grows upward (rows
 decrease).  Samples outside the grid read as zero.
 
-The resampling surface is `sample_plane`, the one primitive;
-`coordinate_matrix` and `transform_filter` for a single group element; and
+The resampling surface is `sample_plane`, the one primitive, and
 `filter_transform`, which stacks a base filter with its rotated and
 reflected copies, one per element of the group.  The coordinate maps of a
 group's elements are one read-only (|G|, 2, 2) table, `coordinate_table`,
 built once per group; `coordinate_matrix(g)` is its row `g.index`, so the
 steer checks and the group action read maps without fresh trigonometry.
+`sample_plane(f, coordinate_matrix(g), mode)` evaluates f at the
+coordinates moved by one element g: out(x) = f(g x).
 
 Resampling through a linear coordinate map is a fixed sparse linear map on
 the pixels: one tap per pixel for nearest, up to four for bilinear.
@@ -265,16 +266,6 @@ def coordinate_matrix(g: GroupElement) -> np.ndarray:
     when i0 = 1, then rotate by the element's angle.  A read-only row of
     `coordinate_table`."""
     return coordinate_table(g.spec)[g.index]
-
-
-def transform_filter(values: np.ndarray, g: GroupElement, mode: str = "bilinear") -> np.ndarray:
-    """Evaluate the filter at transformed coordinates: out(x) = f(g x).
-
-    A single resampling pass over the composed coordinate map, so grid-exact
-    elements act as pure pixel permutations.
-    """
-    values = check_filter_grid(values)
-    return sample_plane(values, coordinate_matrix(g), mode)
 
 
 def filter_transform(base: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:

@@ -119,10 +119,8 @@ class GroupElement:
         return GroupElement(0, (n - self.i1) % n, self.spec)
 
     def angle_action(self, phi: float) -> float:
-        """Image of the planar angle phi: (-1)**i0 * phi + 2*pi*i1/N.
-
-        Not reduced mod 2*pi; samplers apply periodicity themselves.
-        """
+        """Image of the planar angle phi: (-1)**i0 * phi + 2*pi*i1/N, not
+        reduced mod 2*pi."""
         sign = -1.0 if self.i0 else 1.0
         return sign * phi + self.angle
 

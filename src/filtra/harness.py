@@ -157,7 +157,10 @@ def is_exact_element(g: GroupElement, size: int, mode: str) -> bool:
 
     True for 1x1 grids always, for quarter-turn rotation parts (any
     reflection), and for eighth-turn parts on 3x3 grids under nearest
-    interpolation.
+    interpolation.  The eighth-turn rule holds for C8 and D8.  Inside C16,
+    C32 or D16 it is wrong: there the eighth turns do not compose exactly
+    with the 22.5-degree copies, and `filtra verify --group c16 --size 3
+    --mode nearest` fails.
     """
     if size == 1:
         return True

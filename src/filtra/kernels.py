@@ -5,9 +5,9 @@ Every filter-transform kernel comes from `steerable_kernel`, keyed on the
 input representation and always mapping to the regular one:
 `filters.filter_transform` stacks each base filter's |G| copies, and one
 assembly turns the stacks into the grid matrix; the group's DCT basis is
-built once and shared.  The six cyclic/dihedral constructors are kept for
-existing callers as calls into it.  Also here: reversed kernels, the
-circulant baseline and weight-capacity accounting.
+built once and shared.  Two dihedral constructors remain as calls into it
+because the benchmark builds its forward stack with them.  Also here:
+reversed kernels, the circulant baseline and weight-capacity accounting.
 """
 
 from __future__ import annotations
@@ -107,41 +107,17 @@ def steerable_kernel(
     return SteerableKernel(spec, rep_in, regular_rep(spec), grids, mode)
 
 
-def trivial_to_regular_cyclic(base: np.ndarray, n: int, mode: str = "bilinear") -> SteerableKernel:
-    """N x 1 kernel whose rows are the filter transform of the base filter."""
-    return steerable_kernel(trivial_rep(cyclic_group(n)), [base], mode)
-
-
 def trivial_to_regular_dihedral(base: np.ndarray, n: int, mode: str = "bilinear") -> SteerableKernel:
-    """2N x 1 kernel whose rows are the D_N filter transform of the base filter."""
+    """2N x 1 kernel whose rows are the D_N filter transform of the base filter.
+    Kept for the benchmark's forward stack until it builds with `steerable_kernel`."""
     return steerable_kernel(trivial_rep(dihedral_group(n)), [base], mode)
-
-
-def irrep_to_regular_cyclic(
-    base: np.ndarray, n: int, k: int, mode: str = "bilinear"
-) -> SteerableKernel:
-    """N x dim(k) kernel: rotated copy m scaled by frequency k at angle m."""
-    return steerable_kernel(irrep(cyclic_group(n), 0, k), [base], mode)
-
-
-def irrep_to_regular_dihedral(
-    base: np.ndarray, n: int, j: int, k: int, mode: str = "bilinear"
-) -> SteerableKernel:
-    """2N x dim(k) kernel: the cyclic one above (-1)**j times its reflection."""
-    return steerable_kernel(irrep(dihedral_group(n), j, k), [base], mode)
-
-
-def regular_to_regular_cyclic(
-    bases: list[np.ndarray], n: int, mode: str = "bilinear"
-) -> SteerableKernel:
-    """N x N kernel from one base filter per rotation frequency."""
-    return steerable_kernel(regular_rep(cyclic_group(n)), bases, mode)
 
 
 def regular_to_regular_dihedral(
     bases: list[np.ndarray], n: int, mode: str = "bilinear"
 ) -> SteerableKernel:
-    """2N x 2N kernel from one base filter per (j, k), j-major, k ascending."""
+    """2N x 2N kernel from one base filter per (j, k), j-major, k ascending.
+    Kept for the benchmark's forward stack until it builds with `steerable_kernel`."""
     return steerable_kernel(regular_rep(dihedral_group(n)), bases, mode)
 
 

@@ -1,5 +1,7 @@
-"""Trivial, regular and irreducible representation matrices, and the DCT bases
-that decompose regular representations into irreps.
+"""Trivial, regular and irreducible representations, tagged by `RepSpec`
+and evaluated at an element by `RepSpec.matrix`, and the DCT basis that
+decomposes a group's regular representation into irreps: one per group,
+`group_dct_basis(spec)`, built once and read-only.
 
 All representations used here are real and orthogonal.  The regular
 representation of a rotation is the cyclic permutation P(i1) = roll(I, i1, 0);
@@ -42,10 +44,6 @@ def reflection_permutation(n: int, shift: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return np.flipud(rotation_permutation(n, -shift - 1))
-
-
-def trivial_rep_matrix(g: GroupElement) -> np.ndarray:
-    return np.ones((1, 1))
 
 
 def regular_rep_matrix(g: GroupElement) -> np.ndarray:
@@ -160,7 +158,7 @@ class RepSpec:
         if g.spec != self.spec:
             raise ValueError(f"element of {g.spec.name} fed to a {self.spec.name} representation")
         if self.kind == "trivial":
-            return trivial_rep_matrix(g)
+            return np.ones((1, 1))
         if self.kind == "irrep":
             return irrep_matrix(g, self.j, self.k)
         return regular_rep_matrix(g)
@@ -218,44 +216,28 @@ class DctBasis:
         return self.matrix.T / norms[:, None]
 
 
-def dct_basis_cyclic(n: int) -> DctBasis:
-    """N x N basis of cosine/sine columns, frequencies k = 0..floor(N/2)."""
-    cols = []
-    blocks = []
-    start = 0
-    for k in range(n // 2 + 1):
-        b = frequency_columns(n, k)
-        cols.append(b)
-        blocks.append((0, k, slice(start, start + b.shape[1])))
-        start += b.shape[1]
-    return DctBasis(np.hstack(cols), tuple(blocks))
-
-
-def dct_basis_dihedral(n: int) -> DctBasis:
-    """2N x 2N block basis [[V, V], [V, -V]] over the cyclic basis V.
-
-    Column block (j, k) is [b_k; (-1)**j * b_k] for b_k = frequency_columns(n, k).
-    """
-    v = dct_basis_cyclic(n)
-    m = v.matrix
-    top = np.hstack([m, m])
-    bottom = np.hstack([m, -m])
-    w = np.vstack([top, bottom])
-    blocks = []
-    for j in (0, 1):
-        offset = j * n
-        for (_, k, sl) in v.blocks:
-            blocks.append((j, k, slice(sl.start + offset, sl.stop + offset)))
-    return DctBasis(w, tuple(blocks))
-
-
 @functools.lru_cache(maxsize=64)
 def group_dct_basis(spec: GroupSpec) -> DctBasis:
-    """The DCT basis of the group, built once per group; its matrix is read-only."""
-    build = dct_basis_cyclic if spec.reflection_order == 1 else dct_basis_dihedral
-    basis = build(spec.rotation_order)
-    basis.matrix.setflags(write=False)
-    return basis
+    """The DCT basis of the group, built once per group; its matrix is read-only.
+
+    On C_N it is the N x N matrix V of cosine/sine columns
+    `frequency_columns(N, k)`, k = 0..floor(N/2).  On D_N it is the 2N x 2N
+    block matrix [[V, V], [V, -V]]: column block (j, k) is
+    [b_k; (-1)**j * b_k].
+    """
+    n = spec.rotation_order
+    matrix = np.hstack([frequency_columns(n, k) for k in range(n // 2 + 1)])
+    if spec.reflection_order == 2:
+        matrix = np.block([[matrix, matrix], [matrix, -matrix]])
+    blocks = []
+    start = 0
+    for j in range(spec.reflection_order):
+        for k in range(n // 2 + 1):
+            stop = start + irrep_dim(spec, k)
+            blocks.append((j, k, slice(start, stop)))
+            start = stop
+    matrix.setflags(write=False)
+    return DctBasis(matrix, tuple(blocks))
 
 
 def decompose_regular(g: GroupElement) -> tuple[DctBasis, np.ndarray]:
@@ -283,26 +265,3 @@ def intertwiner_residual(n: int, k: int, g: GroupElement) -> float:
     r0 = np.abs(irrep_matrix(h, 0, k) @ b - b @ refl).max()
     r1 = np.abs(irrep_matrix(h, 1, k) @ b + b @ refl).max()
     return float(max(r0, r1))
-
-
-def regular_rep_fractional(n: int, t: float) -> np.ndarray:
-    """Regular representation of C_N continued to a fractional rotation index.
-
-    Interpolates through the decomposition with irreps evaluated at the
-    continuous angle 2*pi*t/N; at integer t this equals the permutation
-    matrix of (0, t mod N).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    basis = dct_basis_cyclic(n)
-    blocks = []
-    for (_, k, _) in basis.blocks:
-        a = TAU * k * t / n
-        if k == 0:
-            blocks.append(np.array([[1.0]]))
-        elif n % 2 == 0 and k == n // 2:
-            blocks.append(np.array([[math.cos(a)]]))
-        else:
-            blocks.append(np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]))
-    d = _block_diag(blocks)
-    return basis.matrix @ d @ basis.inverse()

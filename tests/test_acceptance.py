@@ -20,13 +20,7 @@ from filtra.harness import (
     run_suite,
     verify_construction_identities,
 )
-from filtra.kernels import (
-    capacity_report,
-    regular_to_regular_cyclic,
-    regular_to_regular_dihedral,
-    trivial_to_regular_cyclic,
-    trivial_to_regular_dihedral,
-)
+from filtra.kernels import capacity_report, steerable_kernel
 from filtra.representations import (
     decompose_regular,
     intertwiner_residual,
@@ -141,13 +135,9 @@ def test_criterion_6_feature_equivariance():
     for spec in (cyclic_group(4), dihedral_group(4)):
         n = spec.rotation_order
         cyclic = spec.reflection_order == 1
-        first = (trivial_to_regular_cyclic if cyclic else trivial_to_regular_dihedral)(
-            rng.uniform(-1, 1, (3, 3)), n
-        )
+        first = steerable_kernel(trivial_rep(spec), [rng.uniform(-1, 1, (3, 3))])
         count = (n // 2 + 1) * (1 if cyclic else 2)
-        second = (regular_to_regular_cyclic if cyclic else regular_to_regular_dihedral)(
-            [rng.uniform(-1, 1, (3, 3)) for _ in range(count)], n
-        )
+        second = steerable_kernel(regular_rep(spec), [rng.uniform(-1, 1, (3, 3)) for _ in range(count)])
 
         def chain(f):
             y = conv2d(first, f)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -6,6 +7,7 @@ from pathlib import Path
 import filtra
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -44,3 +46,57 @@ def test_library_tour_names_resolve():
     names = _tour_identifiers()
     assert {"filter_transform", "sample_plane", "steerable_kernel", "read_feature_csv"} <= names
     assert [name for name in sorted(names) if not any(hasattr(m, name) for m in modules)] == []
+
+
+def _filtra_chain(node: ast.AST, aliases: dict[str, str]) -> str | None:
+    """The dotted name of an attribute chain rooted at `filtra` or at a local
+    alias of one of its attributes, with the alias expanded; else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not parts or not isinstance(node, ast.Name):
+        return None
+    root = "filtra" if node.id == "filtra" else aliases.get(node.id)
+    return ".".join([root, *reversed(parts)]) if root else None
+
+
+def _resolve(chain: str) -> object:
+    obj = filtra
+    for part in chain.split(".")[1:]:
+        if not hasattr(obj, part):
+            # a submodule the package does not import itself, e.g. filtra.cli
+            obj = importlib.import_module(f"{obj.__name__}.{part}")
+        else:
+            obj = getattr(obj, part)
+    return obj
+
+
+def test_benchmark_entry_points_resolve():
+    """Every filtra name the benchmark workloads reach, directly or through
+    a local alias such as `features = filtra.features`, still exists."""
+    tree = ast.parse(WORKLOADS.read_text())
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            chain = _filtra_chain(node.value, {})
+            if chain:
+                aliases[node.targets[0].id] = chain
+    chains = {chain for node in ast.walk(tree) if (chain := _filtra_chain(node, aliases))}
+    assert {"features", "harness"} <= aliases.keys()
+    assert {
+        "filtra.features.conv2d",
+        "filtra.features.act_on_feature",
+        "filtra.harness.check_kernel_equivariance",
+        "filtra.harness.is_exact_element",
+        "filtra.kernels.trivial_to_regular_dihedral",
+        "filtra.kernels.regular_to_regular_dihedral",
+        "filtra.cli.main",
+    } <= chains
+    unresolved = []
+    for chain in sorted(chains):
+        try:
+            _resolve(chain)
+        except (AttributeError, ImportError):
+            unresolved.append(chain)
+    assert unresolved == []

@@ -153,11 +153,13 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
          "--base: [Errno 2] No such file or directory: '{tmp}/missing.csv'"),
         (["capacity", "--group", "d8", "--size", "3"],
          "--group: capacity accounting is defined for cyclic groups, e.g. c8"),
+        (["demo", "--group", "c8", "--out", "{base}"],
+         "--out: [Errno 20] Not a directory: '{base}/triv2reg_cyclic'"),
     ],
     ids=["gen-k", "gen-j", "gen-cyclic-j", "gen-base-count", "verify-mode", "demo-k", "demo-j",
          "gen-triv2reg-j-k", "gen-triv2reg-j", "gen-reg2reg-k", "gen-orn-k", "gen-orn-dihedral-j",
          "gen-orn-dihedral", "gen-out-file", "demo-image-missing", "verify-report-dir", "verify-report-no-parent",
-         "gen-base-missing", "capacity-dihedral"],
+         "gen-base-missing", "capacity-dihedral", "demo-out-file"],
 )
 def test_parameter_errors_name_the_option(argv, message, base_csv, tmp_path, capsys):
     paths = {"base": base_csv, "tmp": tmp_path}

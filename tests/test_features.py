@@ -20,7 +20,7 @@ from filtra.features import (
 )
 from filtra.filters import coordinate_matrix, sample_plane
 from filtra.groups import cyclic_group, dihedral_group, parse_group
-from filtra.kernels import SteerableKernel, trivial_to_regular_cyclic
+from filtra.kernels import SteerableKernel, steerable_kernel
 from filtra.representations import irrep, regular_rep, trivial_rep
 
 
@@ -104,7 +104,7 @@ def test_conv_errors():
 def test_conv_linearity():
     c4 = cyclic_group(4)
     rng = np.random.default_rng(2)
-    kernel = trivial_to_regular_cyclic(rng.uniform(-1, 1, (3, 3)), 4)
+    kernel = steerable_kernel(trivial_rep(cyclic_group(4)), [rng.uniform(-1, 1, (3, 3))])
     fa = rng.uniform(-1, 1, (1, 9, 9))
     fb = rng.uniform(-1, 1, (1, 9, 9))
     a, b = 0.3, -1.9

@@ -19,7 +19,6 @@ from filtra.filters import (
     filter_transform,
     rotation_cos_sin,
     sample_plane,
-    transform_filter,
 )
 from filtra.groups import cyclic_group, dihedral_group
 
@@ -70,7 +69,8 @@ def test_congruent_turns_are_bit_identical(n):
         g, h = cyclic_group(n).element(0, i), dihedral_group(3 * n).element(0, 3 * i)
         assert coordinate_matrix(g).tobytes() == coordinate_matrix(h).tobytes()
         for mode in ("bilinear", "nearest"):
-            assert transform_filter(f, g, mode).tobytes() == transform_filter(f, h, mode).tobytes()
+            moved_g = sample_plane(f, coordinate_matrix(g), mode)
+            assert moved_g.tobytes() == sample_plane(f, coordinate_matrix(h), mode).tobytes()
     if n % 4 == 0:
         assert rotation_cos_sin(n // 4, n) == (0.0, 1.0)
 
@@ -78,7 +78,7 @@ def test_congruent_turns_are_bit_identical(n):
 def test_rotate_zero_is_identity():
     for mode in ("bilinear", "nearest"):
         assert_array_equal(sample_plane(GRID3, np.eye(2), mode), GRID3)
-        assert_array_equal(transform_filter(GRID3, cyclic_group(4).identity(), mode), GRID3)
+        assert_array_equal(sample_plane(GRID3, coordinate_matrix(cyclic_group(4).identity()), mode), GRID3)
         assert_array_equal(filter_transform(GRID3, cyclic_group(4), mode)[0], GRID3)
 
 
@@ -87,7 +87,7 @@ def test_rotate_quarter_turn_both_modes():
     for mode in ("bilinear", "nearest"):
         assert_array_equal(sample_plane(GRID3, _rotation_map(0.0, 1.0), mode), expected)
         # content turned counter-clockwise: evaluated at the inverse element
-        assert_array_equal(transform_filter(GRID3, cyclic_group(4).element(0, 3), mode), expected)
+        assert_array_equal(sample_plane(GRID3, coordinate_matrix(cyclic_group(4).element(0, 3)), mode), expected)
         assert_array_equal(filter_transform(GRID3, cyclic_group(4), mode)[1], expected)
 
 
@@ -201,16 +201,16 @@ def test_reflected_rotation_stack():
 
 def test_transform_filter_examples():
     c4 = cyclic_group(4)
-    assert_array_equal(transform_filter(GRID3, c4.identity()), GRID3)
+    assert_array_equal(sample_plane(GRID3, coordinate_matrix(c4.identity()), "bilinear"), GRID3)
     d4 = dihedral_group(4)
-    assert_array_equal(transform_filter(GRID3, d4.element(1, 0)), GRID3[::-1])
+    assert_array_equal(sample_plane(GRID3, coordinate_matrix(d4.element(1, 0)), "bilinear"), GRID3[::-1])
     stack = filter_transform(GRID3, c4, "bilinear")
-    assert_array_equal(transform_filter(stack[0], c4.element(0, 1)), stack[3])
+    assert_array_equal(sample_plane(stack[0], coordinate_matrix(c4.element(0, 1)), "bilinear"), stack[3])
     # the filter transform's copy for element g is f(g^-1 x)
     rng = np.random.default_rng(10)
     f = rng.uniform(-1.0, 1.0, (5, 5))
     for g, entry in zip(d4.elements(), filter_transform(f, d4, "bilinear"), strict=True):
-        assert_array_equal(entry, transform_filter(f, g.inverse()))
+        assert_array_equal(entry, sample_plane(f, coordinate_matrix(g.inverse()), "bilinear"))
 
 
 def test_transform_filter_action_property():
@@ -221,8 +221,9 @@ def test_transform_filter_action_property():
     d4 = dihedral_group(4)
     for g in d4.elements():
         for h in d4.elements():
-            lhs = transform_filter(transform_filter(f, h), g)
-            rhs = transform_filter(f, h.compose(g))
+            moved_h = sample_plane(f, coordinate_matrix(h), "bilinear")
+            lhs = sample_plane(moved_h, coordinate_matrix(g), "bilinear")
+            rhs = sample_plane(f, coordinate_matrix(h.compose(g)), "bilinear")
             assert_array_equal(lhs, rhs)
 
 

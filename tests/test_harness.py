@@ -26,31 +26,26 @@ from filtra.harness import (
     suite_passes,
     verify_construction_identities,
 )
-from filtra.kernels import (
-    SteerableKernel,
-    irrep_to_regular_dihedral,
-    regular_to_regular_dihedral,
-    trivial_to_regular_cyclic,
-)
+from filtra.kernels import SteerableKernel, regular_to_regular_dihedral, steerable_kernel
 from filtra.representations import irrep, regular_rep, trivial_rep
 
 RNG = np.random.default_rng(11)
 
 
 def test_kernel_check_identity_element():
-    kernel = trivial_to_regular_cyclic(RNG.uniform(-1, 1, (3, 3)), 4)
+    kernel = steerable_kernel(trivial_rep(cyclic_group(4)), [RNG.uniform(-1, 1, (3, 3))])
     assert check_kernel_equivariance(kernel, cyclic_group(4).identity()) == (0.0, 0.0)
 
 
 def test_kernel_check_exact_rotation_is_bit_zero():
-    kernel = trivial_to_regular_cyclic(RNG.uniform(-1, 1, (3, 3)), 4)
+    kernel = steerable_kernel(trivial_rep(cyclic_group(4)), [RNG.uniform(-1, 1, (3, 3))])
     assert check_kernel_equivariance(kernel, cyclic_group(4).element(0, 1)) == (0.0, 0.0)
 
 
 def test_kernel_check_reports_interpolation_error():
     # an eighth turn resampled bilinearly on a 9x9 grid is not exact;
     # the residual is reported, not asserted against a bound
-    kernel = irrep_to_regular_dihedral(RNG.uniform(-1, 1, (9, 9)), 8, 0, 1, "bilinear")
+    kernel = steerable_kernel(irrep(dihedral_group(8), 0, 1), [RNG.uniform(-1, 1, (9, 9))], "bilinear")
     abs_res, rel_res = check_kernel_equivariance(kernel, dihedral_group(8).element(0, 1))
     assert abs_res > 1e-6
     assert np.isfinite(abs_res) and np.isfinite(rel_res)
@@ -87,7 +82,7 @@ def test_overflowing_kernel_check_fails_the_report():
 
 def test_feature_check_examples():
     c4 = cyclic_group(4)
-    kernel = trivial_to_regular_cyclic(RNG.uniform(-1, 1, (3, 3)), 4)
+    kernel = steerable_kernel(trivial_rep(cyclic_group(4)), [RNG.uniform(-1, 1, (3, 3))])
     f = feature_map(c4, kernel.rep_in, RNG.uniform(-1, 1, (1, 15, 15)))
     assert check_feature_equivariance(kernel, f, [c4.identity()]) == [(0.0, 0.0)]
     [(abs_res, _)] = check_feature_equivariance(kernel, f, [c4.element(0, 2)])

@@ -7,24 +7,22 @@ from filtra.harness import check_kernel_equivariance
 from filtra.kernels import (
     capacity_report,
     circulant_kernel,
-    irrep_to_regular_cyclic,
-    irrep_to_regular_dihedral,
-    regular_to_regular_cyclic,
     regular_to_regular_dihedral,
     reverse_kernel,
-    trivial_to_regular_cyclic,
+    steerable_kernel,
     trivial_to_regular_dihedral,
 )
+from filtra.representations import irrep, regular_rep, trivial_rep
 
 BASE = np.arange(1.0, 10.0).reshape(3, 3)
 
 
 def test_trivial_to_regular_cyclic():
-    k = trivial_to_regular_cyclic(np.array([[2.5]]), 4)
+    k = steerable_kernel(trivial_rep(cyclic_group(4)), [np.array([[2.5]])])
     assert k.grids.shape == (4, 1, 1, 1)
     assert_array_equal(k.grids[:, 0, 0, 0], [2.5] * 4)
 
-    k = trivial_to_regular_cyclic(BASE, 4)
+    k = steerable_kernel(trivial_rep(cyclic_group(4)), [BASE])
     for n in range(4):
         assert_array_equal(k.grids[n, 0], np.rot90(BASE, n))
     assert k.rep_in.kind == "trivial" and k.rep_out.kind == "regular"
@@ -50,12 +48,12 @@ def test_trivial_to_regular_dihedral():
 
 
 def test_irrep_to_regular_cyclic():
-    k0 = irrep_to_regular_cyclic(BASE, 4, 0)
-    triv = trivial_to_regular_cyclic(BASE, 4)
+    k0 = steerable_kernel(irrep(cyclic_group(4), 0, 0), [BASE])
+    triv = steerable_kernel(trivial_rep(cyclic_group(4)), [BASE])
     assert_array_equal(k0.grids, triv.grids)
 
     w = 0.75
-    k1 = irrep_to_regular_cyclic(np.array([[w]]), 4, 1)
+    k1 = steerable_kernel(irrep(cyclic_group(4), 0, 1), [np.array([[w]])])
     assert k1.grids.shape == (4, 2, 1, 1)
     angles = TAU * np.arange(4) / 4
     assert_allclose(k1.grids[:, 0, 0, 0], w * np.cos(angles), atol=1e-15)
@@ -64,43 +62,43 @@ def test_irrep_to_regular_cyclic():
     abs_res, _ = check_kernel_equivariance(k1, cyclic_group(4).element(0, 1))
     assert abs_res <= 1e-12
     with pytest.raises(ValueError):
-        irrep_to_regular_cyclic(BASE, 4, 3)
+        steerable_kernel(irrep(cyclic_group(4), 0, 3), [BASE])
 
 
 def test_irrep_to_regular_dihedral():
-    k = irrep_to_regular_dihedral(BASE, 4, 0, 0)
+    k = steerable_kernel(irrep(dihedral_group(4), 0, 0), [BASE])
     assert_array_equal(k.grids, trivial_to_regular_dihedral(BASE, 4).grids)
 
     base = np.array([[1.5]])
-    k = irrep_to_regular_dihedral(base, 1, 1, 0)
+    k = steerable_kernel(irrep(dihedral_group(1), 1, 0), [base])
     assert_array_equal(k.grids[0, 0], base)
     assert_array_equal(k.grids[1, 0], -base[::-1])
 
-    k = irrep_to_regular_dihedral(BASE, 4, 1, 1)
+    k = steerable_kernel(irrep(dihedral_group(4), 1, 1), [BASE])
     abs_res, _ = check_kernel_equivariance(k, dihedral_group(4).element(1, 0))
     assert abs_res <= 1e-12
     with pytest.raises(ValueError):
-        irrep_to_regular_dihedral(BASE, 4, 2, 1)
+        steerable_kernel(irrep(dihedral_group(4), 2, 1), [BASE])
 
 
 def test_regular_to_regular_cyclic():
-    k = regular_to_regular_cyclic([BASE], 1)
+    k = steerable_kernel(regular_rep(cyclic_group(1)), [BASE])
     assert_array_equal(k.grids[0, 0], BASE)
 
     a, b = 2.0, 5.0
-    k = regular_to_regular_cyclic([np.array([[a]]), np.array([[b]])], 2)
+    k = steerable_kernel(regular_rep(cyclic_group(2)), [np.array([[a]]), np.array([[b]])])
     got = k.grids[:, :, 0, 0]
     expected = 0.5 * np.array([[a + b, a - b], [a - b, a + b]])
     assert_allclose(got, expected, atol=1e-14)
 
     rng = np.random.default_rng(2)
     bases = [rng.uniform(-1, 1, (3, 3)) for _ in range(3)]
-    k = regular_to_regular_cyclic(bases, 4)
+    k = steerable_kernel(regular_rep(cyclic_group(4)), bases)
     for g in cyclic_group(4).elements():
         abs_res, _ = check_kernel_equivariance(k, g)
         assert abs_res <= 1e-12
     with pytest.raises(ValueError):
-        regular_to_regular_cyclic(bases[:2], 4)
+        steerable_kernel(regular_rep(cyclic_group(4)), bases[:2])
 
 
 def test_regular_to_regular_cyclic_is_linear_in_each_base():
@@ -108,11 +106,11 @@ def test_regular_to_regular_cyclic_is_linear_in_each_base():
     bases_a = [rng.uniform(-1, 1, (3, 3)) for _ in range(3)]
     bases_b = [rng.uniform(-1, 1, (3, 3)) for _ in range(3)]
     alpha, beta = 0.6, -1.1
-    mixed = regular_to_regular_cyclic(
-        [alpha * a + beta * b for a, b in zip(bases_a, bases_b)], 4
+    mixed = steerable_kernel(
+        regular_rep(cyclic_group(4)), [alpha * a + beta * b for a, b in zip(bases_a, bases_b)]
     )
-    ka = regular_to_regular_cyclic(bases_a, 4)
-    kb = regular_to_regular_cyclic(bases_b, 4)
+    ka = steerable_kernel(regular_rep(cyclic_group(4)), bases_a)
+    kb = steerable_kernel(regular_rep(cyclic_group(4)), bases_b)
     assert_allclose(mixed.grids, alpha * ka.grids + beta * kb.grids, atol=1e-12)
 
 
@@ -136,21 +134,21 @@ def test_regular_to_regular_dihedral():
 
 
 def test_reverse_kernel():
-    k = trivial_to_regular_cyclic(BASE, 4)
+    k = steerable_kernel(trivial_rep(cyclic_group(4)), [BASE])
     rev = reverse_kernel(k)
     assert rev.grids.shape == (1, 4, 3, 3)
     assert rev.rep_in.kind == "regular" and rev.rep_out.kind == "trivial"
     assert_array_equal(reverse_kernel(rev).grids, k.grids)
 
     g = cyclic_group(4).element(0, 1)
-    k_irrep = irrep_to_regular_cyclic(BASE, 4, 1)
+    k_irrep = steerable_kernel(irrep(cyclic_group(4), 0, 1), [BASE])
     forward, _ = check_kernel_equivariance(k_irrep, g)
     reversed_, _ = check_kernel_equivariance(reverse_kernel(k_irrep), g)
     assert forward <= 1e-12 and reversed_ <= 1e-12
 
     # duality: the reversed residual matrix is the transpose of the forward
     # one, so the max-abs values coincide even at interpolated angles
-    k_big = irrep_to_regular_cyclic(np.arange(1.0, 82.0).reshape(9, 9), 8, 1)
+    k_big = steerable_kernel(irrep(cyclic_group(8), 0, 1), [np.arange(1.0, 82.0).reshape(9, 9)])
     for g in cyclic_group(8).elements():
         forward, _ = check_kernel_equivariance(k_big, g)
         reversed_, _ = check_kernel_equivariance(reverse_kernel(k_big), g)

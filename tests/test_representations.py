@@ -11,8 +11,6 @@ from filtra.filters import coordinate_table
 from filtra.groups import cyclic_group, dihedral_group
 from filtra.representations import (
     RepSpec,
-    dct_basis_cyclic,
-    dct_basis_dihedral,
     decompose_regular,
     frequency_columns,
     group_dct_basis,
@@ -22,11 +20,9 @@ from filtra.representations import (
     irrep_table,
     reflection_permutation,
     regular_rep,
-    regular_rep_fractional,
     regular_rep_matrix,
     rotation_permutation,
     trivial_rep,
-    trivial_rep_matrix,
 )
 
 
@@ -57,8 +53,8 @@ def test_reflection_permutation_examples():
 
 
 def test_trivial_rep():
-    assert_array_equal(trivial_rep_matrix(cyclic_group(8).element(0, 3)), [[1.0]])
-    assert_array_equal(trivial_rep_matrix(dihedral_group(4).element(1, 2)), [[1.0]])
+    assert_array_equal(trivial_rep(cyclic_group(8)).matrix(cyclic_group(8).element(0, 3)), [[1.0]])
+    assert_array_equal(trivial_rep(dihedral_group(4)).matrix(dihedral_group(4).element(1, 2)), [[1.0]])
 
 
 def test_regular_rep_examples():
@@ -181,16 +177,16 @@ def test_frequency_columns_examples():
 
 
 def test_cyclic_basis_examples():
-    assert_array_equal(dct_basis_cyclic(1).matrix, [[1.0]])
-    assert_allclose(dct_basis_cyclic(2).matrix, [[1, 1], [1, -1]], atol=1e-15)
+    assert_array_equal(group_dct_basis(cyclic_group(1)).matrix, [[1.0]])
+    assert_allclose(group_dct_basis(cyclic_group(2)).matrix, [[1, 1], [1, -1]], atol=1e-15)
     expected = np.array([[1, 1, 0, 1], [1, 0, 1, -1], [1, -1, 0, 1], [1, 0, -1, -1]], dtype=float)
-    assert_allclose(dct_basis_cyclic(4).matrix, expected, atol=1e-15)
+    assert_allclose(group_dct_basis(cyclic_group(4)).matrix, expected, atol=1e-15)
 
 
 def test_dihedral_basis_examples():
-    assert_allclose(dct_basis_dihedral(1).matrix, [[1, 1], [1, -1]], atol=1e-15)
-    v2 = dct_basis_cyclic(2).matrix
-    w2 = dct_basis_dihedral(2).matrix
+    assert_allclose(group_dct_basis(dihedral_group(1)).matrix, [[1, 1], [1, -1]], atol=1e-15)
+    v2 = group_dct_basis(cyclic_group(2)).matrix
+    w2 = group_dct_basis(dihedral_group(2)).matrix
     assert w2.shape == (4, 4)
     assert_allclose(w2[:2, :2], v2, atol=1e-15)
     assert_allclose(w2[2:, 2:], -v2, atol=1e-15)
@@ -198,12 +194,12 @@ def test_dihedral_basis_examples():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_gram_matrices_diagonal(n):
-    v = dct_basis_cyclic(n).matrix
+    v = group_dct_basis(cyclic_group(n)).matrix
     gram = v.T @ v
     assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-10)
     for d in np.diag(gram):
         assert min(abs(d - n), abs(d - n / 2)) <= 1e-10
-    w = dct_basis_dihedral(n).matrix
+    w = group_dct_basis(dihedral_group(n)).matrix
     gram_w = w.T @ w
     assert_allclose(gram_w, np.diag(np.diag(gram_w)), atol=1e-10)
     for d in np.diag(gram_w):
@@ -212,23 +208,23 @@ def test_gram_matrices_diagonal(n):
 
 def test_basis_inverse_is_exact():
     for n in (1, 2, 3, 4, 7, 8):
-        basis = dct_basis_cyclic(n)
+        basis = group_dct_basis(cyclic_group(n))
         assert_allclose(basis.matrix @ basis.inverse(), np.eye(n), atol=1e-12)
-        dbasis = dct_basis_dihedral(n)
+        dbasis = group_dct_basis(dihedral_group(n))
         assert_allclose(dbasis.matrix @ dbasis.inverse(), np.eye(2 * n), atol=1e-12)
 
 
 def test_group_dct_basis_is_cached_and_read_only():
-    for group, build in ((cyclic_group, dct_basis_cyclic), (dihedral_group, dct_basis_dihedral)):
+    for group in (cyclic_group, dihedral_group):
         basis = group_dct_basis(group(6))
         assert group_dct_basis(group(6)) is basis
         assert not basis.matrix.flags.writeable
         with pytest.raises(ValueError):
             basis.matrix[0, 0] = 2.0
-        fresh = build(6)
+        # a build past the cache gives a new basis with the same bits
+        fresh = group_dct_basis.__wrapped__(group(6))
+        assert fresh is not basis
         assert basis.matrix.tobytes() == fresh.matrix.tobytes() and basis.blocks == fresh.blocks
-        # the builders it caches still return fresh, writable bases
-        assert fresh.matrix.flags.writeable
 
 
 def test_decompose_regular_examples():
@@ -265,19 +261,6 @@ def test_intertwiner_exhaustive(n):
     for g in dihedral_group(n).elements():
         for k in range(n // 2 + 1):
             assert intertwiner_residual(n, k, g) <= 1e-12
-
-
-def test_regular_rep_fractional():
-    assert_allclose(regular_rep_fractional(4, 0.0), np.eye(4), atol=1e-12)
-    assert_allclose(regular_rep_fractional(4, 1.0), rotation_permutation(4, 1), atol=1e-10)
-    assert_allclose(regular_rep_fractional(2, 0.5), [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
-    for n in (1, 2, 3, 5, 8):
-        for t in range(-n, 2 * n):
-            assert_allclose(
-                regular_rep_fractional(n, float(t)),
-                rotation_permutation(n, t % n),
-                atol=1e-10,
-            )
 
 
 def test_rep_spec_validation():
