@@ -33,9 +33,14 @@ values, and a map that lands on grid points (a quarter turn, a reflection)
 then gathers one plane instead of four.
 
 Rotation angles are exact rationals: every rotation is a turn i1/N, reduced
-to lowest terms before cos/sin are evaluated, and near-integer cos/sin
-values are snapped.  This makes rotations by congruent angles bit-identical
-for every N and makes 90-degree multiples exact pixel permutations.
+to lowest terms and folded into the first octant before cos/sin are
+evaluated once; the octant swap and the quarter turns are exact swap and
+sign steps.  This makes rotations by congruent angles bit-identical for
+every N, makes 90-degree multiples exact pixel permutations, and makes the
+turns -m/N and m/N + 1/4 exact mirrors and quarter-turn shifts of m/N.
+Nearest mode rounds the centred source coordinates half away from zero,
+so it commutes with negation at ties and a map and its mirror image pick
+mirrored pixels.
 """
 
 from __future__ import annotations
@@ -51,8 +56,6 @@ import numpy as np
 from .groups import TAU, GroupElement, GroupSpec
 
 MODES = ("bilinear", "nearest")
-
-_SNAP_EPS = 1e-12
 
 
 def check_mode(mode: str) -> str:
@@ -75,26 +78,36 @@ def check_filter_grid(values: np.ndarray) -> np.ndarray:
 def rotation_cos_sin(turn: int, n: int) -> tuple[float, float]:
     """Cosine and sine of the rotation by turn/n of a full turn.
 
-    The turn is reduced mod 1 and to lowest terms before the angle is formed,
-    so congruent turns give bit-identical values for every n; cos/sin within
-    1e-12 of an integer snap to it.
+    The turn is reduced mod 1 and to lowest terms, so congruent turns give
+    bit-identical values for every n.  Its remainder within a quarter turn is
+    folded into the first octant, where cos/sin are evaluated once; the
+    octant swap (c == s at 45 degrees) and the quarter turns are exact swap
+    and sign steps, so turn n - m gives (c, -s) and m + n/4 gives (-s, c).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     turn %= n
     d = math.gcd(turn, n)
-    a = TAU * (turn // d) / (n // d)
+    q = n // d
+    # turn/n = (quarter + rest/q) / 4, with 0 <= rest < q
+    quarter, rest = divmod(4 * turn // d, q)
+    a = TAU * min(rest, q - rest) / (4 * q)
     c, s = math.cos(a), math.sin(a)
-    if abs(c - round(c)) < _SNAP_EPS:
-        c = float(round(c))
-    if abs(s - round(s)) < _SNAP_EPS:
-        s = float(round(s))
-    return c, s
+    if 2 * rest >= q:
+        c, s = (c, c) if 2 * rest == q else (s, c)
+    for _ in range(quarter):
+        c, s = -s, c
+    # + 0.0 turns the -0.0 of a sign step into +0.0
+    return c + 0.0, s + 0.0
 
 
-def _round_half_down(x: np.ndarray) -> np.ndarray:
-    """Round to the nearest integer, ties toward the smaller integer."""
-    return np.ceil(x - 0.5).astype(int)
+def _round_centred(t: np.ndarray, centre: float) -> np.ndarray:
+    """The pixel index nearest the centred coordinate t on a side with this
+    centre index: |t| rounds half away from zero onto the pixel positions
+    (integers on an odd side, half-integers on an even one, whose centre tie
+    t = 0 follows t's sign bit) and t's sign is put back."""
+    half = centre % 1.0
+    return (centre + np.copysign(np.floor(np.abs(t) + (0.5 - half)) + half, t)).astype(int)
 
 
 class _TapCacheInfo(NamedTuple):
@@ -165,7 +178,8 @@ def _build_taps(
         return index.ravel().astype(np.intp), inside.ravel()
 
     if mode == "nearest":
-        index, weight = flat_index(_round_half_down(fr), _round_half_down(fc))
+        # rows grow downward, against y
+        index, weight = flat_index(_round_centred(-sy, cr), _round_centred(sx, cc))
     else:
         r0 = np.floor(fr).astype(int)
         c0 = np.floor(fc).astype(int)

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from filtra import filters
 from filtra.filters import (
     _build_taps,
-    _round_half_down,
+    _round_centred,
     _sample_taps,
     _TapCache,
     check_filter_grid,
@@ -147,8 +147,47 @@ def test_out_of_grid_reads_zero():
     assert_allclose(got[0, 0], 2.0 - math.sqrt(2.0), atol=1e-12)
 
 
-def test_nearest_ties_round_toward_smaller_index():
-    assert_array_equal(_round_half_down(np.array([1.5, 2.5, -0.5, 0.4, 0.6])), [1, 2, -1, 0, 1])
+@pytest.mark.parametrize("side", range(1, 12))
+def test_nearest_rounding_commutes_with_negation_at_ties(side):
+    # ties sit half-way between pixel positions: at half-integers on an odd
+    # side, at integers (the centre among them) on an even one
+    centre = (side - 1) / 2.0
+    offset = 0.5 if side % 2 else 0.0
+    ties = np.array([k + offset for k in range(-side, side + 1)] + [-0.0] * (side % 2 == 0))
+    got = _round_centred(ties, centre) - centre
+    assert_array_equal(_round_centred(-ties, centre) - centre, -got)
+    # half away from zero: |t| + 1/2, the pixel farther from the centre
+    assert_array_equal(np.abs(got), np.abs(ties) + 0.5)
+    assert_array_equal(np.signbit(got), np.signbit(ties))
+    # off the ties: the nearest pixel position
+    t = np.linspace(-side, side, 8 * side + 3)
+    pixel = 0.5 - offset
+    t = t[np.abs(t - pixel - np.round(t - pixel)) != 0.5]
+    assert_array_equal(_round_centred(t, centre) - centre, np.round(t - pixel) + pixel)
+
+
+def test_nearest_ties_on_even_sides_go_to_the_farther_pixel():
+    # a 1 x 4 row scaled by 2: x = -1.5, -0.5, 0.5, 1.5 reads -3, -1, 1, 3,
+    # ties between pixel positions; -1 and 1 round outward to pixels 0 and 3
+    row = np.array([[1.0, 2.0, 3.0, 4.0]])
+    assert_array_equal(sample_plane(row, 2.0 * np.eye(2), "nearest"), [[0.0, 1.0, 4.0, 0.0]])
+    # the centre of an even side is a tie too: +0.0 reads the larger index,
+    # -0.0 the smaller
+    assert _round_centred(np.array([0.0, -0.0]), 1.5).tolist() == [2, 1]
+    # an odd side rounds ties at half-integers outward: 1.5 x reads -1.5 and 1.5
+    assert_array_equal(sample_plane(GRID3, 1.5 * np.eye(2), "nearest"), [[0.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def test_mirror_and_quarter_turns_are_exact_swaps_and_signs():
+    for n in range(1, 129):
+        for m in range(n):
+            c, s = rotation_cos_sin(m, n)
+            assert rotation_cos_sin(n - m, n) == (c, -s), (m, n)
+            if n % 4 == 0:
+                assert rotation_cos_sin(m + n // 4, n) == (-s, c), (m, n)
+        if n % 8 == 0:
+            c, s = rotation_cos_sin(n // 8, n)
+            assert c == s == math.cos(math.tau / 8), n
 
 
 def _reflect(values, n=4, mode="bilinear"):
@@ -227,10 +266,18 @@ def test_transform_filter_action_property():
             assert_array_equal(lhs, rhs)
 
 
+def _reference_round(t, centre):
+    """The nearest pixel index: |t| rounded half away from zero onto the
+    side's pixel positions (integers, or half-integers on an even side)."""
+    half = centre % 1.0
+    return int(centre + math.copysign(math.floor(abs(t) + (0.5 - half)) + half, t))
+
+
 def _reference_sample_plane(values, matrix, mode):
     """Pixel-by-pixel resampling with the same float operations, in the same
     order, as the documented map: centred coordinates, the linear map, then
-    round-half-down (nearest) or four bilinear taps accumulated from zero."""
+    rounding half away from zero about the centre (nearest) or four bilinear
+    taps accumulated from zero."""
     values = np.asarray(values, dtype=float)
     h, w = values.shape[-2:]
     cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
@@ -242,7 +289,7 @@ def _reference_sample_plane(values, matrix, mode):
             sy = float(matrix[1, 0]) * x + float(matrix[1, 1]) * y
             fr, fc = cr - sy, sx + cc
             if mode == "nearest":
-                ri, ci = math.ceil(fr - 0.5), math.ceil(fc - 0.5)
+                ri, ci = _reference_round(-sy, cr), _reference_round(sx, cc)
                 if 0 <= ri < h and 0 <= ci < w:
                     out[..., r, c] = values[..., ri, ci]
                 continue
