@@ -85,12 +85,6 @@ def read_filter_csv(path: str | Path) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _rep_token(rep: RepSpec) -> str:
-    if rep.kind == "irrep":
-        return f"irrep:{rep.j}:{rep.k}"
-    return rep.kind
-
-
 def _parse_rep(token: str, spec: GroupSpec) -> RepSpec:
     if token == "trivial":
         return trivial_rep(spec)
@@ -107,7 +101,7 @@ def _parse_rep(token: str, spec: GroupSpec) -> RepSpec:
 
 def write_feature_csv(path: str | Path, f: FeatureMap) -> None:
     c, h, w = f.data.shape
-    header = f"C={c},H={h},W={w},group={f.group.name},rep={_rep_token(f.rep)},mult={f.multiplicity}"
+    header = f"C={c},H={h},W={w},group={f.group.name},rep={f.rep.label()},mult={f.multiplicity}"
     lines = [header]
     for channel in f.data:
         lines += [",".join(_fmt(v) for v in row) for row in channel]

@@ -19,18 +19,20 @@ the pixels: one tap per pixel for nearest, up to four for bilinear.
 `sample_plane` takes a whole stack of maps at once, so the |G| copies of a
 filter transform, or the acted copies of a feature map, come from one
 gather.  The taps (flat `intp` source index and weight) are built once per
-(grid size, stack of maps, mode) and kept in a cache bounded in entries and
-in bytes.  A call works pixel-major: the batched grids are transposed once
-to (h*w, batch), so a tap copies one contiguous row holding every grid.  A
-bilinear call then takes, per tile of output pixels, one `take` of every
-tap plane, one in-place product with the weights and one sum over the
-planes from +0.0 in their fixed order; the tile bounds that temporary to
-about TAP_TILE doubles.  The pixel-major result is transposed back to
-(..., maps, h, w) once at the end.  A bilinear tap plane whose weight is 0
-at every pixel of the stack is dropped when the taps are built: adding
-0 * value to a partial sum that starts from +0.0 changes no bits for finite
-values, and a map that lands on grid points (a quarter turn, a reflection)
-then gathers one plane instead of four.
+(grid size, stack of maps, mode) and kept in one `functools.lru_cache` of
+256 stacks, each of at most TAP_CACHE_PIXELS output pixels; larger stacks
+are rebuilt per call.  `exact_indices` reads the same taps of a whole group
+to derive which elements permute a grid exactly.  A call works pixel-major:
+the batched grids are transposed once to (h*w, batch), so a tap copies one
+contiguous row holding every grid.  A bilinear call then takes, per tile of
+output pixels, one `take` of every tap plane, one in-place product with the
+weights and one sum over the planes from +0.0 in their fixed order; the tile
+bounds that to about TAP_TILE doubles.  The pixel-major result is transposed
+back to (..., maps, h, w) once at the end.  A bilinear tap plane whose
+weight is 0 at every pixel of the stack is dropped when the taps are built:
+adding 0 * value to a partial sum that starts from +0.0 changes no bits for
+finite values, and a map that lands on grid points (a quarter turn, a
+reflection) then gathers one plane instead of four.
 
 Rotation angles are exact rationals: every rotation is a turn i1/N, reduced
 to lowest terms and folded into the first octant before cos/sin are
@@ -38,9 +40,8 @@ evaluated once; the octant swap and the quarter turns are exact swap and
 sign steps.  This makes rotations by congruent angles bit-identical for
 every N, makes 90-degree multiples exact pixel permutations, and makes the
 turns -m/N and m/N + 1/4 exact mirrors and quarter-turn shifts of m/N.
-Nearest mode rounds the centred source coordinates half away from zero,
-so it commutes with negation at ties and a map and its mirror image pick
-mirrored pixels.
+Nearest mode rounds centred source coordinates half away from zero, so the
+rounding commutes with negation at every tie.
 """
 
 from __future__ import annotations
@@ -48,12 +49,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import OrderedDict
-from typing import NamedTuple
 
 import numpy as np
 
-from .groups import TAU, GroupElement, GroupSpec
+from .groups import TAU, GroupElement, GroupSpec, cyclic_group
 
 MODES = ("bilinear", "nearest")
 
@@ -110,49 +109,13 @@ def _round_centred(t: np.ndarray, centre: float) -> np.ndarray:
     return (centre + np.copysign(np.floor(np.abs(t) + (0.5 - half)) + half, t)).astype(int)
 
 
-class _TapCacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-    nbytes: int
-    maxbytes: int
+# a stack of at most this many output pixels keeps its taps in `_build_taps`'s
+# cache of 256 entries, each at most 64 B a pixel (four bilinear planes of
+# index and weight), so 32 MiB in all; a larger stack is built on every call
+TAP_CACHE_PIXELS = 2048
 
 
-class _TapCache:
-    """Least recently used tap sets, bounded in entries and in bytes.  A tap
-    set larger than the byte bound is built on every call and never kept."""
-
-    def __init__(self, build, maxsize: int, maxbytes: int) -> None:
-        self._build = build
-        self.maxsize, self.maxbytes = maxsize, maxbytes
-        self._entries: OrderedDict = OrderedDict()
-        self.cache_clear()
-
-    def __call__(self, *key):
-        taps = self._entries.get(key)
-        if taps is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return taps
-        self.misses += 1
-        taps = self._build(*key)
-        size = sum(t.nbytes for t in taps)
-        if size <= self.maxbytes:
-            self._entries[key] = taps
-            self.nbytes += size
-            while len(self._entries) > self.maxsize or self.nbytes > self.maxbytes:
-                self.nbytes -= sum(t.nbytes for t in self._entries.popitem(last=False)[1])
-        return taps
-
-    def cache_info(self) -> _TapCacheInfo:
-        return _TapCacheInfo(self.hits, self.misses, self.maxsize, len(self._entries), self.nbytes, self.maxbytes)
-
-    def cache_clear(self) -> None:
-        self._entries.clear()
-        self.hits = self.misses = self.nbytes = 0
-
-
+@functools.lru_cache(maxsize=256)
 def _build_taps(
     h: int, w: int, matrices: tuple[float, ...], mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +132,6 @@ def _build_taps(
     y = cr - rows
     sx = m[:, 0, 0] * x + m[:, 0, 1] * y
     sy = m[:, 1, 0] * x + m[:, 1, 1] * y
-    fr = cr - sy
-    fc = sx + cc
 
     def flat_index(r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inside = (r >= 0) & (r < h) & (c >= 0) & (c < w)
@@ -181,6 +142,7 @@ def _build_taps(
         # rows grow downward, against y
         index, weight = flat_index(_round_centred(-sy, cr), _round_centred(sx, cc))
     else:
+        fr, fc = cr - sy, sx + cc
         r0 = np.floor(fr).astype(int)
         c0 = np.floor(fc).astype(int)
         dr = fr - r0
@@ -198,10 +160,6 @@ def _build_taps(
     weight.setflags(write=False)
     return index, weight
 
-
-# a D_N suite over a few sizes and both modes needs a few hundred tap sets;
-# the byte bound keeps a few large stacks from holding memory
-_sample_taps = _TapCache(_build_taps, maxsize=1024, maxbytes=32 << 20)
 
 # doubles in the live tap temporary of a bilinear `sample_plane` call (128
 # KiB): a tile holds as many output pixels of every plane and batched grid as
@@ -236,10 +194,10 @@ def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarra
     centered coordinates (x, y) of pixel (r, c); points outside the grid read
     0.  The output has shape values.shape[:-2] + matrix.shape[:-2] + (h, w):
     leading dimensions of `values` are batched over every map of the stack.
-    The taps are built once per (h, w, stack, mode) and cached; bilinear taps
-    are summed in a fixed order starting from zero, so each map of a stack
-    gives the same bits as a call with that map alone, whatever the tiling.
-    The output is a new C-contiguous array.
+    The taps of a stack of up to TAP_CACHE_PIXELS output pixels are cached
+    per (h, w, stack, mode); bilinear taps are summed in a fixed order from
+    zero, so each map of a stack gives the same bits as a call with that map
+    alone, whatever the tiling.  The output is a new C-contiguous array.
     """
     check_mode(mode)
     values = np.asarray(values, dtype=float)
@@ -247,7 +205,9 @@ def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarra
     if matrix.ndim < 2 or matrix.shape[-2:] != (2, 2):
         raise ValueError(f"coordinate maps must have shape (..., 2, 2), got {matrix.shape}")
     h, w = values.shape[-2:]
-    index, weight = _sample_taps(h, w, tuple(matrix.ravel().tolist()), mode)
+    key = tuple(matrix.ravel().tolist())
+    build = _build_taps if len(key) // 4 * h * w <= TAP_CACHE_PIXELS else _build_taps.__wrapped__
+    index, weight = build(h, w, key, mode)
     lead = values.shape[:-2]
     batch = math.prod(lead)
     # pixel-major: a tap copies one contiguous row holding every batched grid
@@ -282,6 +242,34 @@ def coordinate_matrix(g: GroupElement) -> np.ndarray:
     return coordinate_table(g.spec)[g.index]
 
 
+@functools.lru_cache(maxsize=256)
+def exact_indices(spec: GroupSpec, size: int, mode: str) -> frozenset[int]:
+    """The indices of the elements that act exactly on a size x size grid in
+    this mode, derived from the taps of the whole group's coordinate maps
+    (built uncached).  g is exact when its taps permute the pixels, one
+    in-grid tap of weight exactly 1 per pixel reading each source pixel
+    once, and when, for every h, h's taps read at g's sources equal the taps
+    of h * g: then resampling by h after g is resampling by h * g, exactly."""
+    check_mode(mode)
+    n, pixels = spec.rotation_order, size * size
+    index, weight = _build_taps.__wrapped__(size, size, tuple(coordinate_table(spec).ravel().tolist()), mode)
+    weight = weight.reshape(-1, spec.order, pixels)
+    # (planes, |G|, pixels), with -1 at the taps that read nothing
+    index = np.where(weight != 0, index.reshape(weight.shape), -1)
+    source = index.max(axis=0)
+    permutes = ((weight != 0).sum(axis=0) == 1).all(axis=1) & (weight.max(axis=0) == 1).all(axis=1)
+    permutes &= (np.sort(source, axis=1) == np.arange(pixels)).all(axis=1)
+    # product[h, g] = (h * g).index
+    i0, i1 = np.divmod(np.arange(spec.order), n)
+    product = (i0[:, None] ^ i0) * n + (i1[:, None] + np.where(i0[:, None], -i1, i1)) % n
+    return frozenset(
+        g
+        for g in np.flatnonzero(permutes).tolist()
+        if np.array_equal(index[:, :, source[g]], index[:, product[:, g]])
+        and np.array_equal(weight[:, :, source[g]], weight[:, product[:, g]])
+    )
+
+
 def filter_transform(base: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
     """The filter transform: (|G|, S, S) copies of the base filter f, the
     copy for element g being f(g^-1 x), in `spec.elements()` order.  Entry m
@@ -290,10 +278,7 @@ def filter_transform(base: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray
     halves go through the N - 1 inverse-rotation maps in one `sample_plane`
     call."""
     base = check_filter_grid(base)
-    n = spec.rotation_order
     halves = np.stack([base, base[::-1]][: spec.reflection_order])
     # out(x) = f(R(-theta) x) rotates the content by theta
-    cos_sin = [rotation_cos_sin(m, n) for m in range(1, n)]
-    maps = np.reshape([[[c, s], [-s, c]] for c, s in cos_sin], (n - 1, 2, 2))
-    rotated = sample_plane(halves, maps, mode)
+    rotated = sample_plane(halves, coordinate_table(cyclic_group(spec.rotation_order))[:0:-1], mode)
     return np.concatenate([halves[:, None], rotated], axis=1).reshape(-1, *base.shape)

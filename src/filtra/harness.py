@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMap, _correlate, act_on_feature_stack
-from .filters import coordinate_matrix, sample_plane
+from .filters import coordinate_matrix, exact_indices, sample_plane
 from .groups import GroupElement, GroupSpec, cyclic_group, dihedral_group
 from .kernels import (
     SteerableKernel,
@@ -152,27 +152,9 @@ def check_feature_equivariance(
 
 
 def is_exact_element(g: GroupElement, size: int, mode: str) -> bool:
-    """Whether the planar action of g maps the pixel grid onto itself, so the
-    resampled kernel is an exact permutation.
-
-    True for 1x1 grids always, for quarter-turn rotation parts (any
-    reflection), and for eighth-turn parts on 3x3 grids under nearest
-    interpolation.  The eighth-turn rule holds for C8 and D8.  Inside C16,
-    C32 or D16 it is wrong: there the eighth turns do not compose exactly
-    with the 22.5-degree copies, and `filtra verify --group c16 --size 3
-    --mode nearest` fails.
-    """
-    if size == 1:
-        return True
-    # the reflection y -> -y fixes the x-axis, so the map's first column is
-    # the cosine and sine of g's rotation part
-    c, s = coordinate_matrix(g)[:, 0].tolist()
-    if c == round(c) and s == round(s):
-        return True
-    if mode == "nearest" and size == 3:
-        h = math.sqrt(0.5)
-        return abs(abs(c) - h) < 1e-9 and abs(abs(s) - h) < 1e-9
-    return False
+    """Whether g acts on a size x size grid as an exact, composing pixel
+    permutation in this mode: whether its index is in `exact_indices`."""
+    return g.index in exact_indices(g.spec, size, mode)
 
 
 def _moved_stack(g: GroupElement, stack: np.ndarray) -> np.ndarray:
@@ -266,19 +248,19 @@ def check_family(label: str, kernel: SteerableKernel, f: FeatureMap) -> Equivari
     and f's grid."""
     group, size, mode = kernel.group, kernel.size, kernel.mode
     elements = group.elements()
+    exact = exact_indices(group, size, mode)
     per_element = []
     exact_max = full_max = feature_max = 0.0
-    feature_elements = []
     for g, (abs_res, rel_res) in zip(elements, check_kernel_elements(kernel, elements)):
         per_element.append((g, abs_res, rel_res))
         full_max = max(full_max, abs_res)
-        if is_exact_element(g, size, mode):
+        if g.index in exact:
             exact_max = max(exact_max, abs_res)
-            # the feature grid must also map onto itself (the 3x3 eighth-turn
-            # exception does not extend to it); then so does its centred
-            # valid crop, where the feature check compares the two sides
-            if is_exact_element(g, f.height, mode):
-                feature_elements.append(g)
+    # the feature grid, and so its centred valid crop where the feature check
+    # compares the two sides, must map onto itself too: a 3x3 kernel grid
+    # can have exact elements that the larger grid has not
+    feature_exact = exact & exact_indices(group, f.height, mode)
+    feature_elements = [g for g in elements if g.index in feature_exact]
     for feat_res, _ in check_feature_equivariance(kernel, f, feature_elements):
         feature_max = max(feature_max, feat_res)
     return EquivarianceReport(

@@ -53,6 +53,12 @@ def test_verify_multiple_groups_modes():
     assert main(["verify", "--group", "c8,d4", "--size", "3", "--mode", "bilinear,nearest"]) == 0
 
 
+@pytest.mark.parametrize("argv", [["--group", "c12"], ["--group", "c16", "--size", "3"]])
+def test_verify_nearest_passes(argv, capsys):
+    assert main(["verify", *argv, "--mode", "nearest"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
 def test_verify_unknown_flag_is_usage_error():
     assert main(["verify", "--group", "c4", "--bogus", "1"]) == 2
     assert main(["verify", "--group", "c4", "--threads", "2"]) == 2

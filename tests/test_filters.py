@@ -9,10 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from filtra import filters
 from filtra.filters import (
+    TAP_CACHE_PIXELS,
     _build_taps,
     _round_centred,
-    _sample_taps,
-    _TapCache,
     check_filter_grid,
     coordinate_matrix,
     coordinate_table,
@@ -252,6 +251,26 @@ def test_transform_filter_examples():
         assert_array_equal(entry, sample_plane(f, coordinate_matrix(g.inverse()), "bilinear"))
 
 
+def test_filter_transform_entry_equals_the_inverse_elements_resampling():
+    # rotations and nearest reflections give the same bits; a bilinear
+    # reflection is the row flip on the grid, then a rotation, so it may
+    # round differently from the one composed map
+    rng = np.random.default_rng(15)
+    for n in range(1, 17):
+        for spec in (cyclic_group(n), dihedral_group(n)):
+            for size in (1, 3, 5, 9):
+                f = rng.uniform(-1.0, 1.0, (size, size))
+                for mode in ("bilinear", "nearest"):
+                    stack = filter_transform(f, spec, mode)
+                    for g in spec.elements():
+                        want = sample_plane(f, coordinate_matrix(g), mode)
+                        got = stack[g.inverse().index]
+                        if g.i0 and mode == "bilinear":
+                            assert_allclose(got, want, rtol=0, atol=1e-14)
+                        else:
+                            assert got.tobytes() == want.tobytes(), (spec.name, size, mode, g)
+
+
 def test_transform_filter_action_property():
     # evaluating at transformed coordinates composes contravariantly:
     # transform(transform(f, h), g) equals transform(f, h * g)
@@ -338,43 +357,44 @@ def test_sample_plane_taps_are_cached_read_only_and_bounded():
     stack = np.array([coordinate_matrix(g) for g in d8.elements()]).reshape(4, 4, 2, 2)
     for mode in ("bilinear", "nearest"):
         for maps in (matrix, stack):
-            _sample_taps.cache_clear()
+            _build_taps.cache_clear()
             first = sample_plane(values, maps, mode)
-            assert _sample_taps.cache_info().currsize == 1
+            assert _build_taps.cache_info().currsize == 1
             again = sample_plane(values, maps, mode)
-            assert _sample_taps.cache_info().hits == 1
+            assert _build_taps.cache_info().hits == 1 and _build_taps.cache_info().misses == 1
             assert again.tobytes() == first.tobytes()
-            taps = _sample_taps(7, 7, _key(maps), mode)
-            assert _sample_taps.cache_info().nbytes == sum(t.nbytes for t in taps)
-            for t in taps:
+            for t in _build_taps(7, 7, _key(maps), mode):
                 assert not t.flags.writeable
                 with pytest.raises(ValueError):
                     t[..., 0] = 0
-    info = _sample_taps.cache_info()
-    assert info.maxsize is not None and info.maxbytes is not None
+    info = _build_taps.cache_info()
+    assert info.maxsize is not None
     for side in range(1, 41):
         for width in range(1, 41):
             sample_plane(np.ones((side, width)), stack[:, :1], "nearest")
     assert side * width > info.maxsize
-    info = _sample_taps.cache_info()
-    assert info.currsize <= info.maxsize and info.nbytes <= info.maxbytes
+    assert _build_taps.cache_info().currsize == info.maxsize
 
 
 def test_tap_cache_bounds_bytes_and_keeps_no_oversized_stack():
     quarter = coordinate_matrix(cyclic_group(4).element(0, 1))
-    one = sum(t.nbytes for t in _build_taps(9, 9, _key(quarter), "bilinear"))
-    cache = _TapCache(_build_taps, maxsize=100, maxbytes=3 * one)
-    for n in (1, 2, 3):
-        cache(9, 9, _key([quarter] * n), "bilinear")
-    # a 3-map stack fills the byte bound alone, so the two smaller sets go
-    assert cache.cache_info().currsize == 1 and cache.cache_info().nbytes == 3 * one
-    taps = cache(9, 9, _key([quarter] * 4), "bilinear")
-    assert taps[0].shape == (1, 4 * 81)
-    assert cache.cache_info().currsize == 1 and cache.cache_info().nbytes == 3 * one
-    cache(9, 9, _key([quarter] * 4), "bilinear")
-    assert cache.cache_info().hits == 0 and cache.cache_info().misses == 5
-    cache(9, 9, _key([quarter] * 3), "bilinear")
-    assert cache.cache_info().hits == 1
+    eighth = coordinate_matrix(cyclic_group(8).element(0, 1))
+    side = math.isqrt(TAP_CACHE_PIXELS // 8)
+    assert 8 * side * side <= TAP_CACHE_PIXELS < 9 * side * side
+    values = np.ones((side, side))
+    _build_taps.cache_clear()
+    # the largest stack kept: four bilinear planes of index and weight, 64 B
+    # a pixel, so the full cache holds at most 32 MiB
+    sample_plane(values, [eighth] * 8, "bilinear")
+    taps = _build_taps(side, side, _key([eighth] * 8), "bilinear")
+    assert _build_taps.cache_info().currsize == 1
+    assert sum(t.nbytes for t in taps) == 64 * 8 * side * side
+    assert _build_taps.cache_info().maxsize * TAP_CACHE_PIXELS * 64 <= 32 << 20
+    # one more map and the stack is built on every call, never kept
+    for _ in range(2):
+        out = sample_plane(values, [quarter] * 9, "bilinear")
+        assert _build_taps.cache_info().currsize == 1 and _build_taps.cache_info().misses == 1
+    assert out.tobytes() == np.ones((9, side, side)).tobytes()
 
 
 def _stack_matrices(rng, n):
@@ -496,18 +516,18 @@ def test_grid_exact_bilinear_maps_keep_one_tap_plane():
     exact = [coordinate_matrix(g) for g in dihedral_group(4).elements()]
     for h, w in ((5, 5), (9, 9), (1, 1), (3, 7)):
         for matrix in exact:
-            index, weight = _sample_taps(h, w, _key(matrix), "bilinear")
+            index, weight = _build_taps(h, w, _key(matrix), "bilinear")
             assert index.shape == weight.shape == (1, h * w)
         # a stack of such maps is one gather too
-        assert _sample_taps(h, w, _key(exact), "bilinear")[0].shape == (1, 8 * h * w)
+        assert _build_taps(h, w, _key(exact), "bilinear")[0].shape == (1, 8 * h * w)
     # on a square grid they are permutations: one plane of weight 1
-    index, weight = _sample_taps(7, 7, _key(exact), "bilinear")
+    index, weight = _build_taps(7, 7, _key(exact), "bilinear")
     assert index.shape == (1, 8 * 49) and np.all(weight == 1.0)
     eighth = coordinate_matrix(dihedral_group(8).element(0, 1))
-    assert _sample_taps(7, 7, _key(eighth), "bilinear")[0].shape == (4, 49)
+    assert _build_taps(7, 7, _key(eighth), "bilinear")[0].shape == (4, 49)
     # a map that sends every pixel off the grid keeps one all-zero plane (an
     # even grid has no pixel at the origin, which every linear map fixes)
-    index, weight = _sample_taps(4, 2, _key(50.0 * np.eye(2)), "bilinear")
+    index, weight = _build_taps(4, 2, _key(50.0 * np.eye(2)), "bilinear")
     assert index.shape == (1, 8) and not weight.any()
     assert sample_plane(np.ones((4, 2)), 50.0 * np.eye(2), "bilinear").tobytes() == np.zeros((4, 2)).tobytes()
 

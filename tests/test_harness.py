@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from filtra import features, filters, harness
 from filtra.features import FeatureMap, act_on_feature_stack, conv2d, feature_map
-from filtra.filters import coordinate_matrix, sample_plane
+from filtra.filters import coordinate_matrix, exact_indices, sample_plane
 from filtra.groups import cyclic_group, dihedral_group
 from filtra.harness import (
     FEATURE_SIDE,
     IDENTITY_TOL,
+    KERNEL_TOL,
     SuiteConfig,
     check_family,
     check_feature_equivariance,
@@ -177,6 +178,79 @@ def test_is_exact_element():
     assert is_exact_element(d8.element(1, 2), 7, "bilinear")
     assert is_exact_element(d8.element(1, 1), 3, "nearest")
     assert not is_exact_element(d8.element(1, 1), 3, "bilinear")
+    # an eighth turn of C16 permutes the 3x3 grid but does not compose with
+    # the 22.5-degree turns
+    assert not is_exact_element(cyclic_group(16).element(0, 2), 3, "nearest")
+
+
+def _quarter_turn_indices(spec):
+    n = spec.rotation_order
+    return {g.index for g in spec.elements() if (4 * g.i1) % n == 0}
+
+
+def test_every_c8_d8_element_is_exact_on_3x3_nearest():
+    for spec in (cyclic_group(8), dihedral_group(8)):
+        assert exact_indices(spec, 3, "nearest") == frozenset(range(spec.order))
+
+
+def test_only_quarter_turns_are_exact_on_3x3_nearest_in_c16_d16_c32_d32():
+    for n in (16, 32):
+        for spec in (cyclic_group(n), dihedral_group(n)):
+            assert exact_indices(spec, 3, "nearest") == _quarter_turn_indices(spec)
+
+
+def _hand_rule(g, size, mode):
+    """The exactness rule that the derived sets replaced: 1x1 grids, quarter
+    turns (any reflection), and eighth turns on 3x3 grids under nearest."""
+    if size == 1:
+        return True
+    c, s = coordinate_matrix(g)[:, 0].tolist()
+    if c == round(c) and s == round(s):
+        return True
+    h = math.sqrt(0.5)
+    return mode == "nearest" and size == 3 and abs(abs(c) - h) < 1e-9 and abs(abs(s) - h) < 1e-9
+
+
+def test_derived_exactness_equals_the_hand_rule_outside_eighth_turns_of_c16_c32():
+    cells = 0
+    for n in range(1, 33):
+        for spec in (cyclic_group(n), dihedral_group(n)):
+            for size in range(1, 16, 2):
+                for mode in ("bilinear", "nearest"):
+                    cells += 1
+                    if n in (16, 32) and (size, mode) == (3, "nearest"):
+                        continue
+                    want = {g.index for g in spec.elements() if _hand_rule(g, size, mode)}
+                    assert exact_indices(spec, size, mode) == want, (spec.name, size, mode)
+    assert cells == 1024
+
+
+def test_exact_indices_is_cached_and_frozen():
+    got = exact_indices(dihedral_group(8), 5, "bilinear")
+    assert isinstance(got, frozenset)
+    assert exact_indices(dihedral_group(8), 5, "bilinear") is got
+    with pytest.raises(ValueError, match="interpolation mode"):
+        exact_indices(dihedral_group(8), 5, "bicubic")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 32),
+    dihedral=st.booleans(),
+    size=st.sampled_from([1, 3, 5, 7, 9, 11]),
+    mode=st.sampled_from(["bilinear", "nearest"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_family_steers_on_the_derived_exact_elements(n, dihedral, size, mode, seed):
+    spec = dihedral_group(n) if dihedral else cyclic_group(n)
+    exact = exact_indices(spec, size, mode)
+    assert 0 in exact
+    if n % 4 == 0:
+        assert _quarter_turn_indices(spec) <= exact
+    elements = [g for g in spec.elements() if g.index in exact]
+    for label, kernel in kernel_families(spec, size, mode, np.random.default_rng(seed)):
+        for abs_res, _ in check_kernel_elements(kernel, elements):
+            assert abs_res <= KERNEL_TOL, (label, spec.name, size, mode)
 
 
 @pytest.mark.parametrize("n", [1, 4, 5])
