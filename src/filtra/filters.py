@@ -265,8 +265,8 @@ def exact_indices(spec: GroupSpec, size: int, mode: str) -> frozenset[int]:
     return frozenset(
         g
         for g in np.flatnonzero(permutes).tolist()
-        if np.array_equal(index[:, :, source[g]], index[:, product[:, g]])
-        and np.array_equal(weight[:, :, source[g]], weight[:, product[:, g]])
+        if (index.take(source[g], axis=2) == index.take(product[:, g], axis=1)).all()
+        and (weight.take(source[g], axis=2) == weight.take(product[:, g], axis=1)).all()
     )
 
 

@@ -146,23 +146,32 @@ def test_out_of_grid_reads_zero():
     assert_allclose(got[0, 0], 2.0 - math.sqrt(2.0), atol=1e-12)
 
 
-@pytest.mark.parametrize("side", range(1, 12))
-def test_nearest_rounding_commutes_with_negation_at_ties(side):
-    # ties sit half-way between pixel positions: at half-integers on an odd
-    # side, at integers (the centre among them) on an even one
-    centre = (side - 1) / 2.0
-    offset = 0.5 if side % 2 else 0.0
-    ties = np.array([k + offset for k in range(-side, side + 1)] + [-0.0] * (side % 2 == 0))
-    got = _round_centred(ties, centre) - centre
-    assert_array_equal(_round_centred(-ties, centre) - centre, -got)
-    # half away from zero: |t| + 1/2, the pixel farther from the centre
-    assert_array_equal(np.abs(got), np.abs(ties) + 0.5)
-    assert_array_equal(np.signbit(got), np.signbit(ties))
-    # off the ties: the nearest pixel position
-    t = np.linspace(-side, side, 8 * side + 3)
-    pixel = 0.5 - offset
-    t = t[np.abs(t - pixel - np.round(t - pixel)) != 0.5]
-    assert_array_equal(_round_centred(t, centre) - centre, np.round(t - pixel) + pixel)
+def test_nearest_rounding_commutes_with_negation_at_ties():
+    for side in range(1, 12):
+        # ties sit half-way between pixel positions: at half-integers on an
+        # odd side, at integers (the centre among them) on an even one
+        centre = (side - 1) / 2.0
+        offset = 0.5 if side % 2 else 0.0
+        ties = np.array([k + offset for k in range(-side, side + 1)] + [-0.0] * (side % 2 == 0))
+        got = _round_centred(ties, centre) - centre
+        assert_array_equal(_round_centred(-ties, centre) - centre, -got, err_msg=str(side))
+        # half away from zero: |t| + 1/2, the pixel farther from the centre
+        assert_array_equal(np.abs(got), np.abs(ties) + 0.5, err_msg=str(side))
+        assert_array_equal(np.signbit(got), np.signbit(ties), err_msg=str(side))
+        # off the ties: the nearest pixel position
+        t = np.linspace(-side, side, 8 * side + 3)
+        pixel = 0.5 - offset
+        t = t[np.abs(t - pixel - np.round(t - pixel)) != 0.5]
+        assert_array_equal(_round_centred(t, centre) - centre, np.round(t - pixel) + pixel, err_msg=str(side))
+    # so nearest resampling commutes with the half turn of any grid, even
+    # where scaling maps put every other pixel on a tie
+    rng = np.random.default_rng(16)
+    for h in range(1, 12):
+        for w in range(1, 12):
+            f = rng.uniform(-1.0, 1.0, (h, w))
+            for scale in (0.5, 1.5, 2.0, 3.0):
+                turned = sample_plane(f[::-1, ::-1], scale * np.eye(2), "nearest")
+                assert turned.tobytes() == sample_plane(f, scale * np.eye(2), "nearest")[::-1, ::-1].tobytes()
 
 
 def test_nearest_ties_on_even_sides_go_to_the_farther_pixel():
@@ -174,7 +183,7 @@ def test_nearest_ties_on_even_sides_go_to_the_farther_pixel():
     # -0.0 the smaller
     assert _round_centred(np.array([0.0, -0.0]), 1.5).tolist() == [2, 1]
     # an odd side rounds ties at half-integers outward: 1.5 x reads -1.5 and 1.5
-    assert_array_equal(sample_plane(GRID3, 1.5 * np.eye(2), "nearest"), [[0.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 0.0]])
+    assert_array_equal(sample_plane(GRID3, 1.5 * np.eye(2), "nearest"), [[0, 0, 0], [0, 5, 0], [0, 0, 0]])
 
 
 def test_mirror_and_quarter_turns_are_exact_swaps_and_signs():
