@@ -249,7 +249,7 @@ def exact_indices(spec: GroupSpec, size: int, mode: str) -> frozenset[int]:
     (built uncached).  g is exact when its taps permute the pixels, one
     in-grid tap of weight exactly 1 per pixel reading each source pixel
     once, and when, for every h, h's taps read at g's sources equal the taps
-    of h * g: then resampling by h after g is resampling by h * g, exactly."""
+    of h * g: then resampling by h and then by g is resampling by h * g."""
     check_mode(mode)
     n, pixels = spec.rotation_order, size * size
     index, weight = _build_taps.__wrapped__(size, size, tuple(coordinate_table(spec).ravel().tolist()), mode)
