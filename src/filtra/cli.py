@@ -79,6 +79,13 @@ def _element_index(value: str) -> int:
         raise ValueError(f"--element expects two integers i0,i1, got {value!r}") from None
 
 
+def _out_dir(value: str) -> Path:
+    """The directory given to --out; an empty path would mean the current one."""
+    if not value:
+        raise ValueError("--out: empty path; name the output directory")
+    return Path(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filtra",
@@ -145,12 +152,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with _naming("--mode"):
         modes = tuple(check_mode(mode) for mode in lists["mode"])
     config = SuiteConfig(groups=groups, sizes=sizes, modes=modes, seed=args.seed)
-    if args.report:
-        # an unwritable report path fails here, not after the whole suite
+    if args.report is not None:
+        # an unwritable or empty report path fails here, not after the whole suite
         with _naming("--report"):
             open(args.report, "a").close()
     reports = run_suite(config)
-    if args.report:
+    if args.report is not None:
         with _naming("--report"):
             Path(args.report).write_text(reports_to_csv(reports))
     for r in reports:
@@ -185,11 +192,11 @@ def _build_kernel(args: argparse.Namespace, spec: GroupSpec, bases: list[np.ndar
 
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = parse_group(args.group)
+    out = _out_dir(args.out)
     # a malformed file's message already starts with its path
     with _naming("--base", OSError):
         bases = [read_filter_csv(path) for path in _comma_list(args.base)]
     kernel = _build_kernel(args, spec, bases)
-    out = Path(args.out)
     with _naming("--out"):
         out.mkdir(parents=True, exist_ok=True)
     ext = args.format
@@ -253,6 +260,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out)
     image_path = Path(args.image)
     if not image_path.is_file():
         raise ValueError(f"--image: unreadable base filter file: {image_path}")
@@ -266,7 +274,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     # the trivial-input kernels are the filter stacks themselves
     families["stack"] = families["triv2reg_cyclic"]
     families["stack_reflected"] = families["triv2reg_dihedral"][n:]
-    out = Path(args.out)
     count = 0
     with _naming("--out"):
         for name, grids in families.items():

@@ -3,8 +3,9 @@
 Filter CSV: first line ``S=<odd int>``, then S lines of S comma-separated
 values.  Feature CSV: one header line
 ``C=<c>,H=<h>,W=<w>,group=<c|d><N>,rep=<trivial|irrep:J:K|regular>,mult=<m>``
-followed by C*H lines of W values, channel-major.  Values are written with 17
-significant digits so round trips are exact.  Reading rejects a nan or inf
+followed by C*H lines of W values, channel-major; the rep token is exactly
+`RepSpec.label()`.  Values are written with 17 significant digits so round
+trips are exact.  Files are read as UTF-8.  Reading rejects a nan or inf
 value with its file and line: these readers, with `features.feature_map`,
 are where finiteness is checked.
 """
@@ -19,7 +20,8 @@ import numpy as np
 from .features import FeatureMap
 from .filters import check_filter_grid
 from .groups import GroupSpec, parse_group
-from .representations import RepSpec, irrep, regular_rep, trivial_rep
+from .kernels import input_reps
+from .representations import RepSpec
 
 
 def _fmt(value: float) -> str:
@@ -37,7 +39,10 @@ def write_filter_csv(path: str | Path, values: np.ndarray) -> None:
 def _read_lines(path: str | Path) -> tuple[list[str], int]:
     """The lines of `path` without leading and trailing blank space, and the
     file line number of the first of them."""
-    raw = Path(path).read_text()
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     stripped = raw.strip()
     return stripped.splitlines(), raw[: raw.index(stripped)].count("\n") + 1
 
@@ -86,17 +91,11 @@ def read_filter_csv(path: str | Path) -> np.ndarray:
 
 
 def _parse_rep(token: str, spec: GroupSpec) -> RepSpec:
-    if token == "trivial":
-        return trivial_rep(spec)
-    if token == "regular":
-        return regular_rep(spec)
-    if token.startswith("irrep:"):
-        try:
-            j, k = (int(part) for part in token.split(":")[1:])
-        except ValueError:
-            raise ValueError(f"bad representation token {token!r}") from None
-        return irrep(spec, j, k)
-    raise ValueError(f"bad representation token {token!r}")
+    """The representation whose `RepSpec.label()` is `token`."""
+    rep = {rep.label(): rep for rep in input_reps(spec)}.get(token)
+    if rep is None:
+        raise ValueError(f"bad representation token {token!r}")
+    return rep
 
 
 def write_feature_csv(path: str | Path, f: FeatureMap) -> None:

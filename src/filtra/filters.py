@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .groups import TAU, GroupElement, GroupSpec, cyclic_group
+from .groups import TAU, GroupElement, GroupSpec, cyclic_group, product_table
 
 MODES = ("bilinear", "nearest")
 
@@ -249,9 +249,10 @@ def exact_indices(spec: GroupSpec, size: int, mode: str) -> frozenset[int]:
     (built uncached).  g is exact when its taps permute the pixels, one
     in-grid tap of weight exactly 1 per pixel reading each source pixel
     once, and when, for every h, h's taps read at g's sources equal the taps
-    of h * g: then resampling by h and then by g is resampling by h * g."""
+    of h * g, read from `groups.product_table`: then resampling by h and then
+    by g is resampling by h * g."""
     check_mode(mode)
-    n, pixels = spec.rotation_order, size * size
+    pixels = size * size
     index, weight = _build_taps.__wrapped__(size, size, tuple(coordinate_table(spec).ravel().tolist()), mode)
     weight = weight.reshape(-1, spec.order, pixels)
     # (planes, |G|, pixels), with -1 at the taps that read nothing
@@ -259,9 +260,7 @@ def exact_indices(spec: GroupSpec, size: int, mode: str) -> frozenset[int]:
     source = index.max(axis=0)
     permutes = ((weight != 0).sum(axis=0) == 1).all(axis=1) & (weight.max(axis=0) == 1).all(axis=1)
     permutes &= (np.sort(source, axis=1) == np.arange(pixels)).all(axis=1)
-    # product[h, g] = (h * g).index
-    i0, i1 = np.divmod(np.arange(spec.order), n)
-    product = (i0[:, None] ^ i0) * n + (i1[:, None] + np.where(i0[:, None], -i1, i1)) % n
+    product = product_table(spec)
     return frozenset(
         g
         for g in np.flatnonzero(permutes).tolist()

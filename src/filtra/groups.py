@@ -5,13 +5,20 @@ rotation component; its `index` i0*N + i1 is its row in the per-group
 element tables.  The rotation index i1 corresponds to the angle
 2*pi*i1/N, and a group element acts on a planar angle phi as
 (-1)**i0 * phi + 2*pi*i1/N.
+
+`product_table(spec)` holds the group law once per group as the indices of
+all products; the regular representations and the grid-exactness test read
+it, while `GroupElement.compose` stays a scalar rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 TAU = 2.0 * math.pi
 
@@ -126,3 +133,14 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"({self.i0},{self.i1})@{self.spec.name}"
+
+
+@functools.lru_cache(maxsize=64)
+def product_table(spec: GroupSpec) -> np.ndarray:
+    """The (|G|, |G|) indices of all products, entry [h, g] = (h * g).index,
+    built once per group and read-only."""
+    n = spec.rotation_order
+    i0, i1 = np.divmod(np.arange(spec.order), n)
+    table = (i0[:, None] ^ i0) * n + (i1[:, None] + np.where(i0[:, None], -i1, i1)) % n
+    table.setflags(write=False)
+    return table

@@ -64,8 +64,8 @@ def input_blocks(rep_in: RepSpec) -> list[tuple[int, int]]:
 
 def input_reps(spec: GroupSpec) -> list[RepSpec]:
     """Trivial, then the irreps (j-major, k ascending), then regular."""
-    reg = regular_rep(spec)
-    return [trivial_rep(spec), *(irrep(spec, j, k) for j, k in input_blocks(reg)), reg]
+    js, ks = range(spec.reflection_order), range(spec.rotation_order // 2 + 1)
+    return [trivial_rep(spec), *(irrep(spec, j, k) for j in js for k in ks), regular_rep(spec)]
 
 
 def assemble_grids(rep_in: RepSpec, stacks: Iterable[np.ndarray]) -> np.ndarray:

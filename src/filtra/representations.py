@@ -4,9 +4,9 @@ decomposes a group's regular representation into irreps: one per group,
 `group_dct_basis(spec)`, built once and read-only.
 
 All representations used here are real and orthogonal.  The regular
-representation of a rotation is the cyclic permutation P(i1) = roll(I, i1, 0);
-a reflected dihedral element uses the anti-diagonal block built from
-B(i1) = flipud(P(-i1 - 1)).
+representation of g is the 0/1 permutation matrix of the group law on
+coordinates indexed by group elements: column h is the unit vector at g * h,
+read from `groups.product_table`.
 
 Each irrep is one read-only (|G|, d, d) table, d <= 2, built once per group
 by `irrep_table`; `irrep_matrix(g, j, k)` is its row `g.index`.  Regular
@@ -22,50 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import TAU, GroupElement, GroupSpec
+from .groups import TAU, GroupElement, GroupSpec, product_table
 
 
-def rotation_permutation(n: int, shift: int) -> np.ndarray:
-    """Cyclic permutation matrix: rows of the identity rolled down by `shift`.
-
-    Satisfies rotation_permutation(n, a) @ rotation_permutation(n, b) ==
-    rotation_permutation(n, a + b).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return np.roll(np.eye(n), shift % n, axis=0)
-
-
-def reflection_permutation(n: int, shift: int) -> np.ndarray:
-    """Permutation matrix with entry (r, c) = 1 iff r + c == shift (mod n).
-
-    Equals flipud(rotation_permutation(n, -shift - 1)); symmetric and involutive.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return np.flipud(rotation_permutation(n, -shift - 1))
-
-
+@functools.lru_cache(maxsize=128)
 def regular_rep_matrix(g: GroupElement) -> np.ndarray:
-    """Permutation matrix of g acting on coordinates indexed by group elements.
+    """Permutation matrix of g acting on coordinates indexed by group elements,
+    column h one-hot at `product_table(g.spec)[g.index, h]`, the index of g * h.
 
     Built once per element and kept in a cache of the last 128 elements used,
     so the array is read-only.
     """
-    return _regular_rep(g.spec, g.i0, g.i1)
-
-
-@functools.lru_cache(maxsize=128)
-def _regular_rep(spec: GroupSpec, i0: int, i1: int) -> np.ndarray:
-    n = spec.rotation_order
-    if spec.reflection_order == 1:
-        out = rotation_permutation(n, i1)
-    else:
-        out = np.zeros((2 * n, 2 * n))
-        if i0 == 0:
-            out[:n, :n] = out[n:, n:] = rotation_permutation(n, i1)
-        else:
-            out[:n, n:] = out[n:, :n] = reflection_permutation(n, i1)
+    order = g.spec.order
+    out = np.zeros((order, order))
+    out[product_table(g.spec)[g.index], np.arange(order)] = 1.0
     out.setflags(write=False)
     return out
 
@@ -252,16 +222,16 @@ def intertwiner_residual(n: int, k: int, g: GroupElement) -> float:
     """Largest deviation of the frequency columns from intertwining the
     regular action with the frequency-k irrep action.
 
-    For rotations this checks irrep(g) @ b.T == b.T @ P(i1); for reflected
-    elements both sign variants against B(i1).
+    For rotations this checks irrep(g) @ b.T == b.T @ P(i1), P(i1) the C_N
+    regular matrix; for reflected elements both sign variants against B(i1),
+    the [:N, N:] block of the D_N regular matrix.
     """
     b = frequency_columns(n, k).T  # dim(k) x N
     if g.i0 == 0:
-        p = rotation_permutation(n, g.i1)
-        psi = irrep_matrix(GroupElement(0, g.i1, GroupSpec(1, n)), 0, k)
-        return float(np.abs(psi @ b - b @ p).max())
-    refl = reflection_permutation(n, g.i1)
+        r = GroupElement(0, g.i1, GroupSpec(1, n))
+        return float(np.abs(irrep_matrix(r, 0, k) @ b - b @ regular_rep_matrix(r)).max())
     h = GroupElement(1, g.i1, GroupSpec(2, n))
+    refl = regular_rep_matrix(h)[:n, n:]
     r0 = np.abs(irrep_matrix(h, 0, k) @ b - b @ refl).max()
     r1 = np.abs(irrep_matrix(h, 1, k) @ b + b @ refl).max()
     return float(max(r0, r1))

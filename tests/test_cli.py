@@ -161,23 +161,37 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
          "--group: capacity accounting is defined for cyclic groups, e.g. c8"),
         (["demo", "--group", "c8", "--out", "{base}"],
          "--out: [Errno 20] Not a directory: '{base}/triv2reg_cyclic'"),
+        # an input file must be UTF-8, and its message starts with its path
+        (["gen", "--group", "c4", "--kind", "triv2reg", "--base", "{latin1}"],
+         "{latin1}: not UTF-8 text (invalid start byte at byte 0)"),
+        (["demo", "--group", "c8", "--image", "{latin1}"], "{latin1}: not UTF-8 text (invalid start byte at byte 0)"),
+        # an empty output path would write into the current directory, or nowhere
+        (["gen", "--group", "c4", "--kind", "triv2reg", "--out", ""], "--out: empty path; name the output directory"),
+        (["demo", "--group", "c8", "--out", ""], "--out: empty path; name the output directory"),
+        (["verify", "--group", "c4", "--report", ""], "--report: [Errno 2] No such file or directory: ''"),
     ],
     ids=["gen-k", "gen-j", "gen-cyclic-j", "gen-base-count", "verify-mode", "demo-k", "demo-j",
          "gen-triv2reg-j-k", "gen-triv2reg-j", "gen-reg2reg-k", "gen-orn-k", "gen-orn-dihedral-j",
          "gen-orn-dihedral", "gen-out-file", "demo-image-missing", "verify-report-dir", "verify-report-no-parent",
-         "gen-base-missing", "capacity-dihedral", "demo-out-file"],
+         "gen-base-missing", "capacity-dihedral", "demo-out-file", "gen-base-not-utf8", "demo-image-not-utf8",
+         "gen-out-empty", "demo-out-empty", "verify-report-empty"],
 )
-def test_parameter_errors_name_the_option(argv, message, base_csv, tmp_path, capsys):
-    paths = {"base": base_csv, "tmp": tmp_path}
+def test_parameter_errors_name_the_option(argv, message, base_csv, tmp_path, capsys, monkeypatch):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"\xff\xfeS=3\n")
+    paths = {"base": base_csv, "tmp": tmp_path, "latin1": latin1}
     argv = [arg.format(**paths) for arg in argv]
     # the case's own --out or --image comes last and wins
     files = {"gen": ["--base", str(base_csv)], "demo": ["--image", str(base_csv)]}
     if argv[0] in files:
         argv = argv[:1] + files[argv[0]] + ["--out", str(tmp_path / "out")] + argv[1:]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"filtra: error: {message.format(**paths)}\n"
+    assert sorted(tmp_path.rglob("*")) == before  # nothing is written
 
 
 @pytest.mark.parametrize(

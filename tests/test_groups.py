@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from filtra.groups import GroupSpec, cyclic_group, dihedral_group, parse_group
+from filtra.groups import GroupSpec, cyclic_group, dihedral_group, parse_group, product_table
 
 
 def test_spec_validation():
@@ -86,8 +87,6 @@ def test_group_laws_exhaustive_d8():
 def test_angle_action_is_left_action():
     # angles agree as directions: the composed rotation index is reduced mod N,
     # so the comparison is modulo one full turn
-    import numpy as np
-
     d8 = dihedral_group(8)
     rng = np.random.default_rng(0)
     phis = rng.uniform(-10.0, 10.0, 100)
@@ -105,3 +104,26 @@ def test_element_index_is_position_in_elements(n):
         elements = spec.elements()
         assert [g.index for g in elements] == list(range(spec.order))
         assert all(g.index == elements.index(g) for g in elements)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_product_table_is_the_scalar_compose(n):
+    for spec in (cyclic_group(n), dihedral_group(n)):
+        elements = spec.elements()
+        expected = np.array([[(h * g).index for g in elements] for h in elements])
+        table = product_table(spec)
+        assert table.dtype == np.intp and table.shape == (spec.order, spec.order)
+        assert np.array_equal(table, expected)
+        for g in elements:
+            assert table[g.index, g.inverse().index] == 0  # the identity
+
+
+def test_product_table_is_built_once_per_group_and_read_only():
+    spec = dihedral_group(7)
+    product_table.cache_clear()
+    table = product_table(spec)
+    assert product_table(dihedral_group(7)) is table
+    assert product_table.cache_info().misses == 1 and product_table.cache_info().hits == 1
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1

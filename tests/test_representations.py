@@ -18,10 +18,8 @@ from filtra.representations import (
     irrep,
     irrep_matrix,
     irrep_table,
-    reflection_permutation,
     regular_rep,
     regular_rep_matrix,
-    rotation_permutation,
     trivial_rep,
 )
 
@@ -36,20 +34,31 @@ def all_reps(spec):
 
 
 def test_rotation_permutation_examples():
-    assert_array_equal(rotation_permutation(3, 0), np.eye(3))
-    assert_array_equal(rotation_permutation(3, 1), [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    assert_array_equal(rotation_permutation(4, 1) @ rotation_permutation(4, 3), np.eye(4))
-    with pytest.raises(ValueError):
-        rotation_permutation(0, 0)
+    # the C_N regular matrix, and the diagonal blocks of the D_N one
+    c3, c4, d3 = cyclic_group(3), cyclic_group(4), dihedral_group(3)
+    assert_array_equal(regular_rep_matrix(c3.element(0, 0)), np.eye(3))
+    assert_array_equal(regular_rep_matrix(c3.element(0, 1)), [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert_array_equal(regular_rep_matrix(c4.element(0, 1)) @ regular_rep_matrix(c4.element(0, 3)), np.eye(4))
+    rho = regular_rep_matrix(d3.element(0, 1))
+    for block in (rho[:3, :3], rho[3:, 3:]):
+        assert_array_equal(block, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert_array_equal(rho[:3, 3:], np.zeros((3, 3)))
 
 
 def test_reflection_permutation_examples():
-    assert_array_equal(reflection_permutation(1, 0), [[1.0]])
-    assert_array_equal(reflection_permutation(2, 0), np.eye(2))
+    # the off-diagonal blocks of the D_N regular matrix of a reflection
+    def blocks(n):
+        rho = regular_rep_matrix(dihedral_group(n).element(1, 0))
+        assert_array_equal(rho[:n, :n], np.zeros((n, n)))
+        assert_array_equal(rho[n:, :n], rho[:n, n:])
+        return rho[:n, n:]
+
+    assert_array_equal(blocks(1), [[1.0]])
+    assert_array_equal(blocks(2), np.eye(2))
     # fixes indices 0 and 2, swaps 1 and 3
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[2, 2] = expected[1, 3] = expected[3, 1] = 1
-    assert_array_equal(reflection_permutation(4, 0), expected)
+    assert_array_equal(blocks(4), expected)
 
 
 def test_trivial_rep():
@@ -79,11 +88,24 @@ def test_regular_rep_matrix_is_cached_and_read_only():
     assert_array_equal(regular_rep_matrix(dihedral_group(1).element(1, 0)), [[0, 1], [1, 0]])
     d3 = dihedral_group(3)
     expected = np.zeros((6, 6))
-    expected[:3, 3:] = expected[3:, :3] = reflection_permutation(3, 2)
+    expected[:3, 3:] = expected[3:, :3] = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]  # r + c == 2 (mod 3)
     assert_array_equal(regular_rep_matrix(d3.element(1, 2)), expected)
     expected = np.zeros((6, 6))
-    expected[:3, :3] = expected[3:, 3:] = rotation_permutation(3, 1)
+    expected[:3, :3] = expected[3:, 3:] = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     assert_array_equal(regular_rep_matrix(d3.element(0, 1)), expected)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_regular_rep_columns_are_one_hot_at_the_composed_index(n):
+    for spec in (cyclic_group(n), dihedral_group(n)):
+        elements = spec.elements()
+        for g in elements:
+            rho = regular_rep_matrix(g)
+            assert rho.flags.c_contiguous and rho.flags.owndata and not rho.flags.writeable
+            expected = np.zeros((spec.order, spec.order))
+            for h in elements:
+                expected[(g * h).index, h.index] = 1.0
+            assert_array_equal(rho, expected)
 
 
 def test_irrep_examples():
