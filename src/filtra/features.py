@@ -26,8 +26,8 @@ row slices into a (C, out_h, W) buffer, then k over its strided column
 slices; the map is copied into a zero-padded one only when the windows run
 past its edge.
 
-Finiteness is checked where data enters the library, in `feature_map` and
-`fileio.read_feature_csv`.  `FeatureMap` does not scan its data, so maps
+Finiteness of a caller's data is checked where it enters the library, in
+`feature_map`.  `FeatureMap` does not scan its data, so maps
 computed inside the library are not scanned again; an overflow there shows
 as inf or nan, which the harness reports as an infinite residual.
 """

@@ -1,13 +1,11 @@
-"""File formats: filter grids and feature maps as CSV, filter dumps as PGM.
+"""File formats: filter grids as CSV, filter dumps as PGM.
 
 Filter CSV: first line ``S=<odd int>``, then S lines of S comma-separated
-values.  Feature CSV: one header line
-``C=<c>,H=<h>,W=<w>,group=<c|d><N>,rep=<trivial|irrep:J:K|regular>,mult=<m>``
-followed by C*H lines of W values, channel-major; the rep token is exactly
-`RepSpec.label()`.  Values are written with 17 significant digits so round
-trips are exact.  Files are read as UTF-8.  Reading rejects a nan or inf
-value with its file and line: these readers, with `features.feature_map`,
-are where finiteness is checked.
+values.  Values are written with 17 significant digits so round trips are
+exact.  Files are read as UTF-8.  Reading rejects a nan or inf value with
+its file and line: this reader, with `features.feature_map`, is where
+finiteness is checked.  Feature maps have no file format; callers hand
+them over as arrays through `features.feature_map`.
 """
 
 from __future__ import annotations
@@ -17,11 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import FeatureMap
 from .filters import check_filter_grid
-from .groups import GroupSpec, parse_group
-from .kernels import input_reps
-from .representations import RepSpec
 
 
 def _fmt(value: float) -> str:
@@ -86,54 +80,6 @@ def read_filter_csv(path: str | Path) -> np.ndarray:
     values = np.array(_value_rows(path, text[1:], first + 1, s))
     try:
         return check_filter_grid(values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _parse_rep(token: str, spec: GroupSpec) -> RepSpec:
-    """The representation whose `RepSpec.label()` is `token`."""
-    rep = {rep.label(): rep for rep in input_reps(spec)}.get(token)
-    if rep is None:
-        raise ValueError(f"bad representation token {token!r}")
-    return rep
-
-
-def write_feature_csv(path: str | Path, f: FeatureMap) -> None:
-    c, h, w = f.data.shape
-    header = f"C={c},H={h},W={w},group={f.group.name},rep={f.rep.label()},mult={f.multiplicity}"
-    lines = [header]
-    for channel in f.data:
-        lines += [",".join(_fmt(v) for v in row) for row in channel]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_feature_csv(path: str | Path) -> FeatureMap:
-    text, first = _read_lines(path)
-    if not text:
-        raise ValueError(f"{path}: empty feature file")
-    where = f"{path}:{first}"
-    fields = {}
-    for item in text[0].split(","):
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"{where}: header item {item!r} is not of the form key=value")
-        fields[key] = value
-    missing = [key for key in ("C", "H", "W", "group", "rep", "mult") if key not in fields]
-    if missing:
-        raise ValueError(f"{where}: header lacks {', '.join(missing)}")
-    c, h, w, mult = (_int_field(where, key, fields[key]) for key in ("C", "H", "W", "mult"))
-    try:
-        spec = parse_group(fields["group"])
-        rep = _parse_rep(fields["rep"], spec)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    if c != mult * rep.dim:
-        raise ValueError(f"{where}: C={c} does not equal mult*dim = {mult}*{rep.dim}")
-    if len(text) != 1 + c * h:
-        raise ValueError(f"{path}: expected {c * h} value rows, got {len(text) - 1}")
-    data = np.array(_value_rows(path, text[1:], first + 1, w)).reshape(c, h, w)
-    try:
-        return FeatureMap(spec, rep, data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .groups import TAU, GroupElement, GroupSpec, cyclic_group, product_table
+from .groups import TAU, GroupElement, GroupSpec, cyclic_group, product_indices
 
 MODES = ("bilinear", "nearest")
 
@@ -249,8 +249,8 @@ def exact_indices(spec: GroupSpec, size: int, mode: str) -> frozenset[int]:
     (built uncached).  g is exact when its taps permute the pixels, one
     in-grid tap of weight exactly 1 per pixel reading each source pixel
     once, and when, for every h, h's taps read at g's sources equal the taps
-    of h * g, read from `groups.product_table`: then resampling by h and then
-    by g is resampling by h * g."""
+    of h * g, the column of `groups.product_indices` at g: then resampling by
+    h and then by g is resampling by h * g."""
     check_mode(mode)
     pixels = size * size
     index, weight = _build_taps.__wrapped__(size, size, tuple(coordinate_table(spec).ravel().tolist()), mode)
@@ -260,12 +260,13 @@ def exact_indices(spec: GroupSpec, size: int, mode: str) -> frozenset[int]:
     source = index.max(axis=0)
     permutes = ((weight != 0).sum(axis=0) == 1).all(axis=1) & (weight.max(axis=0) == 1).all(axis=1)
     permutes &= (np.sort(source, axis=1) == np.arange(pixels)).all(axis=1)
-    product = product_table(spec)
+    elements = np.arange(spec.order)
     return frozenset(
         g
         for g in np.flatnonzero(permutes).tolist()
-        if (index.take(source[g], axis=2) == index.take(product[:, g], axis=1)).all()
-        and (weight.take(source[g], axis=2) == weight.take(product[:, g], axis=1)).all()
+        for product in [product_indices(spec, elements, g)]
+        if (index.take(source[g], axis=2) == index.take(product, axis=1)).all()
+        and (weight.take(source[g], axis=2) == weight.take(product, axis=1)).all()
     )
 
 

@@ -6,14 +6,14 @@ element tables.  The rotation index i1 corresponds to the angle
 2*pi*i1/N, and a group element acts on a planar angle phi as
 (-1)**i0 * phi + 2*pi*i1/N.
 
-`product_table(spec)` holds the group law once per group as the indices of
-all products; the regular representations and the grid-exactness test read
-it, while `GroupElement.compose` stays a scalar rule.
+`product_indices(spec, left, right)` evaluates the group law on arrays of
+element indices, so the regular representations and the grid-exactness
+test compute only the products they read; `GroupElement.compose` stays a
+scalar rule.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -135,12 +135,10 @@ class GroupElement:
         return f"({self.i0},{self.i1})@{self.spec.name}"
 
 
-@functools.lru_cache(maxsize=64)
-def product_table(spec: GroupSpec) -> np.ndarray:
-    """The (|G|, |G|) indices of all products, entry [h, g] = (h * g).index,
-    built once per group and read-only."""
+def product_indices(spec: GroupSpec, left: int | np.ndarray, right: int | np.ndarray) -> np.ndarray:
+    """The indices (h * g).index for element indices h = `left` and
+    g = `right`, broadcast against each other; a row for one h costs O(|G|)."""
     n = spec.rotation_order
-    i0, i1 = np.divmod(np.arange(spec.order), n)
-    table = (i0[:, None] ^ i0) * n + (i1[:, None] + np.where(i0[:, None], -i1, i1)) % n
-    table.setflags(write=False)
-    return table
+    h0, h1 = np.divmod(np.asarray(left, dtype=np.intp), n)
+    g0, g1 = np.divmod(np.asarray(right, dtype=np.intp), n)
+    return (h0 ^ g0) * n + (h1 + np.where(h0, -g1, g1)) % n

@@ -6,7 +6,7 @@ decomposes a group's regular representation into irreps: one per group,
 All representations used here are real and orthogonal.  The regular
 representation of g is the 0/1 permutation matrix of the group law on
 coordinates indexed by group elements: column h is the unit vector at g * h,
-read from `groups.product_table`.
+computed for g's row alone by `groups.product_indices`.
 
 Each irrep is one read-only (|G|, d, d) table, d <= 2, built once per group
 by `irrep_table`; `irrep_matrix(g, j, k)` is its row `g.index`.  Regular
@@ -22,20 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import TAU, GroupElement, GroupSpec, product_table
+from .groups import TAU, GroupElement, GroupSpec, product_indices
 
 
 @functools.lru_cache(maxsize=128)
 def regular_rep_matrix(g: GroupElement) -> np.ndarray:
     """Permutation matrix of g acting on coordinates indexed by group elements,
-    column h one-hot at `product_table(g.spec)[g.index, h]`, the index of g * h.
+    column h one-hot at `product_indices(g.spec, g.index, h)`, the index of g * h.
 
     Built once per element and kept in a cache of the last 128 elements used,
     so the array is read-only.
     """
     order = g.spec.order
     out = np.zeros((order, order))
-    out[product_table(g.spec)[g.index], np.arange(order)] = 1.0
+    columns = np.arange(order)
+    out[product_indices(g.spec, g.index, columns), columns] = 1.0
     out.setflags(write=False)
     return out
 

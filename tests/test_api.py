@@ -44,7 +44,7 @@ def test_library_tour_names_resolve():
         importlib.import_module(f"filtra.{info.name}") for info in pkgutil.iter_modules(filtra.__path__)
     ]
     names = _tour_identifiers()
-    assert {"filter_transform", "sample_plane", "steerable_kernel", "read_feature_csv"} <= names
+    assert {"filter_transform", "sample_plane", "steerable_kernel", "read_filter_csv"} <= names
     assert [name for name in sorted(names) if not any(hasattr(m, name) for m in modules)] == []
 
 

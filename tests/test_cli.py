@@ -110,6 +110,33 @@ def test_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def _verify_under_blas_threads(threads, report):
+    src = str(Path(filtra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+        env[var] = str(threads)
+    argv = ["verify", "--group", "d8,c16", "--size", "9", "--seed", "1", "--report", str(report)]
+    result = subprocess.run(
+        [sys.executable, "-m", "filtra.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout, report.read_bytes()
+
+
+def test_verify_is_deterministic_across_blas_threads_except_feature_residuals(tmp_path):
+    # the feature check's matrix products may round differently when BLAS
+    # splits them across threads; the report and every verdict must not move
+    out1, csv1 = _verify_under_blas_threads(1, tmp_path / "one.csv")
+    out2, csv2 = _verify_under_blas_threads(2, tmp_path / "two.csv")
+    assert csv1 == csv2
+    assert out1.endswith("PASS\n")
+
+    def without_feature(out):
+        return [[field for field in line.split() if not field.startswith("feature=")] for line in out.splitlines()]
+
+    assert without_feature(out1) == without_feature(out2)
+
+
 def test_gen_requires_k(base_csv, tmp_path, capsys):
     code = main(
         ["gen", "--group", "c4", "--kind", "irrep2reg", "--base", str(base_csv),

@@ -50,7 +50,7 @@ def test_feature_map_validation():
 
 
 def test_intermediate_maps_are_not_scanned():
-    # finiteness is checked where data enters (feature_map, read_feature_csv);
+    # finiteness is checked where data enters (feature_map);
     # a conv that overflows returns inf instead of raising
     c4 = cyclic_group(4)
     kernel = SteerableKernel(c4, trivial_rep(c4), trivial_rep(c4), np.full((1, 1, 3, 3), 2.0), "bilinear")

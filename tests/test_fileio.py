@@ -8,17 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from filtra.features import feature_map
-from filtra.fileio import (
-    read_feature_csv,
-    read_filter_csv,
-    write_feature_csv,
-    write_filter_csv,
-    write_pgm,
-)
-from filtra.groups import cyclic_group, dihedral_group
-from filtra.kernels import input_reps
-from filtra.representations import group_dct_basis, irrep, trivial_rep
+from filtra.fileio import read_filter_csv, write_filter_csv, write_pgm
 
 
 def test_filter_csv_round_trip(tmp_path):
@@ -88,81 +78,13 @@ def test_filter_csv_errors_name_file_and_line(tmp_path, text, where, message):
     assert message in str(info.value)
 
 
-def test_feature_csv_round_trip(tmp_path):
-    d4 = dihedral_group(4)
-    rng = np.random.default_rng(1)
-    f = feature_map(d4, irrep(d4, 0, 1), rng.uniform(-1, 1, (4, 3, 5)))  # multiplicity 2
-    path = tmp_path / "feat.csv"
-    write_feature_csv(path, f)
-    header = path.read_text().splitlines()[0]
-    assert header == "C=4,H=3,W=5,group=d4,rep=irrep:0:1,mult=2"
-    back = read_feature_csv(path)
-    assert back.group == f.group and back.rep == f.rep
-    assert_array_equal(back.data, f.data)
-
-
-def test_feature_csv_round_trips_every_representation(tmp_path):
-    path = tmp_path / "feat.csv"
-    for spec in (cyclic_group(1), cyclic_group(5), dihedral_group(1), dihedral_group(4)):
-        for rep in input_reps(spec):
-            write_feature_csv(path, feature_map(spec, rep, np.ones((rep.dim, 1, 1))))
-            assert read_feature_csv(path).rep == rep
-
-
-def test_feature_csv_rejects_inconsistent_header(tmp_path):
-    path = tmp_path / "feat.csv"
-    lines = ["C=3,H=1,W=1,group=d4,rep=irrep:0:1,mult=2", "1", "2", "3"]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
-        read_feature_csv(path)
-
-
-@pytest.mark.parametrize(
-    "lines, where, message",
-    [
-        (["C=1,H=1,group=c4,rep=trivial,mult=1", "1"], 1, "header lacks W"),
-        (["C=1,H=1,W=1,group=c4,rep=trivial,mult", "1"], 1, "header item 'mult' is not of the form key=value"),
-        (["C=1,H=x,W=1,group=c4,rep=trivial,mult=1", "1"], 1, "H must be a positive integer, got 'x'"),
-        (["C=2,H=1,W=1,group=c4,rep=irrep:0:y,mult=1", "1", "2"], 1, "bad representation token 'irrep:0:y'"),
-        (["C=1,H=2,W=2,group=c4,rep=trivial,mult=1", "1,2", "3"], 3, "expected 2 values, got 1"),
-        (["C=1,H=1,W=2,group=c4,rep=trivial,mult=1", "1,z"], 2, "values must be numbers"),
-        (["C=1,H=2,W=2,group=c4,rep=trivial,mult=1", "1,2", "nan,3"], 3, "values must be finite"),
-        (["C=1,H=1,W=2,group=c4,rep=trivial,mult=1", "-inf,1"], 2, "values must be finite"),
-        (["C=1,H=1,W=2,group=c4,rep=trivial,mult=1", "1,1e999"], 2, "values must be finite"),
-        # the token must be exactly a label that RepSpec.label() writes for the group
-        (["C=2,H=1,W=1,group=c4,rep=irrep: 0:01,mult=1", "1", "2"], 1, "bad representation token 'irrep: 0:01'"),
-        (["C=1,H=1,W=1,group=c4,rep=irrep:0:9,mult=1", "1"], 1, "bad representation token 'irrep:0:9'"),
-    ],
-    ids=["missing-field", "not-key-value", "bad-int", "bad-rep", "ragged", "non-numeric", "nan", "inf", "overflow",
-         "padded-rep", "rep-out-of-range"],
-)
-def test_feature_csv_errors_name_file_and_line(tmp_path, lines, where, message):
-    path = tmp_path / "feat.csv"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError) as info:
-        read_feature_csv(path)
-    assert str(info.value).startswith(f"{path}:{where}: ")
-    assert message in str(info.value)
-
-
-@pytest.mark.parametrize("read", [read_filter_csv, read_feature_csv])
+@pytest.mark.parametrize("read", [read_filter_csv])
 def test_non_utf8_file_error_names_the_file(tmp_path, read):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"\xff\xfeS=3\n")
     with pytest.raises(ValueError) as info:
         read(path)
     assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte at byte 0)"
-
-
-def test_feature_csv_rep_lookup_builds_no_group_table(tmp_path):
-    # the token lookup lists the group's representations; it must not build
-    # a |G| x |G| basis, which for c100000 would not fit in memory
-    path = tmp_path / "feat.csv"
-    path.write_text("C=1,H=1,W=1,group=c100000,rep=trivial,mult=1\n1\n")
-    misses = group_dct_basis.cache_info().misses
-    f = read_feature_csv(path)
-    assert f.rep == trivial_rep(cyclic_group(100000))
-    assert group_dct_basis.cache_info().misses == misses
 
 
 def test_pgm_output(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from filtra.groups import GroupSpec, cyclic_group, dihedral_group, parse_group, product_table
+from filtra.groups import GroupSpec, cyclic_group, dihedral_group, parse_group, product_indices
 
 
 def test_spec_validation():
@@ -111,19 +111,11 @@ def test_product_table_is_the_scalar_compose(n):
     for spec in (cyclic_group(n), dihedral_group(n)):
         elements = spec.elements()
         expected = np.array([[(h * g).index for g in elements] for h in elements])
-        table = product_table(spec)
+        every = np.arange(spec.order)
+        table = product_indices(spec, every[:, None], every)
         assert table.dtype == np.intp and table.shape == (spec.order, spec.order)
         assert np.array_equal(table, expected)
         for g in elements:
-            assert table[g.index, g.inverse().index] == 0  # the identity
-
-
-def test_product_table_is_built_once_per_group_and_read_only():
-    spec = dihedral_group(7)
-    product_table.cache_clear()
-    table = product_table(spec)
-    assert product_table(dihedral_group(7)) is table
-    assert product_table.cache_info().misses == 1 and product_table.cache_info().hits == 1
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 1
+            assert product_indices(spec, g.index, g.inverse().index) == 0  # the identity
+            assert np.array_equal(product_indices(spec, g.index, every), expected[g.index])
+            assert np.array_equal(product_indices(spec, every, g.index), expected[:, g.index])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from filtra import features, filters, harness
 from filtra.features import FeatureMap, act_on_feature_stack, conv2d, feature_map
 from filtra.filters import coordinate_matrix, exact_indices, sample_plane
-from filtra.groups import cyclic_group, dihedral_group
+from filtra.groups import cyclic_group, dihedral_group, product_indices
 from filtra.harness import (
     FEATURE_SIDE,
     IDENTITY_TOL,
@@ -231,6 +231,21 @@ def test_exact_indices_is_cached_and_frozen():
     assert exact_indices(dihedral_group(8), 5, "bilinear") is got
     with pytest.raises(ValueError, match="interpolation mode"):
         exact_indices(dihedral_group(8), 5, "bicubic")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    dihedral=st.booleans(),
+    size=st.sampled_from(range(1, 16, 2)),
+    mode=st.sampled_from(["bilinear", "nearest"]),
+)
+def test_derived_exact_sets_are_subgroups(n, dihedral, size, mode):
+    spec = dihedral_group(n) if dihedral else cyclic_group(n)
+    exact = np.array(sorted(exact_indices(spec, size, mode)))
+    assert 0 in exact
+    # inverses follow: in a finite group, closure under products makes a subgroup
+    assert set(product_indices(spec, exact[:, None], exact).ravel().tolist()) <= set(exact.tolist())
 
 
 @settings(max_examples=30, deadline=None)

@@ -352,3 +352,18 @@ def test_element_tables_of_a_large_group_stay_small():
         tracemalloc.stop()
     assert len(tables) == 131
     assert peak < 2 << 20
+
+
+def test_first_regular_matrix_of_a_large_group_peaks_at_its_own_size():
+    # the one-hot matrix needs only g's row of the group law, not a (|G|, |G|) table
+    g = cyclic_group(1500).element(0, 7)
+    regular_rep_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        rho = regular_rep_matrix(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        regular_rep_matrix.cache_clear()
+    assert rho[7, 0] == 1.0 and rho.sum() == 1500
+    assert peak <= 1.5 * rho.nbytes
