@@ -11,7 +11,7 @@ honest interpolation.
 import numpy as np
 
 from filtra import cyclic_group, dihedral_group, filter_transform
-from filtra.filters import coordinate_matrix, sample_plane
+from filtra.filters import coordinate_table, sample_plane
 
 np.set_printoptions(precision=3, suppress=True)
 
@@ -53,7 +53,7 @@ for i, entry in enumerate(d4[5:], start=5):
 # filter transform's copy for element g is the patch evaluated at g^-1 x.
 group = dihedral_group(4)
 g = group.element(1, 1)
-moved = sample_plane(patch, coordinate_matrix(g), "bilinear")
+moved = sample_plane(patch, coordinate_table(g.spec)[g.index], "bilinear")
 print(f"\npatch evaluated at coordinates moved by {g}:")
 print(moved)
 print("equals the filter transform's entry for its inverse:",

@@ -17,8 +17,8 @@ import numpy as np
 
 from .fileio import read_filter_csv, write_filter_csv, write_pgm
 from .groups import GroupSpec, cyclic_group, dihedral_group, parse_group
-from .harness import FEATURE_SIDE, SuiteConfig, reports_to_csv, run_suite, suite_passes
-from .filters import check_mode
+from .harness import FEATURE_SIDE, reports_to_csv, run_suite
+from .filters import MODES, check_mode
 from .kernels import (
     CAPACITY_KINDS,
     SteerableKernel,
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--j", type=int, default=None, help="reflection frequency (irrep2reg)")
     p_gen.add_argument("--k", type=int, default=None, help="rotation frequency (irrep2reg)")
     p_gen.add_argument("--base", required=True, help="comma-separated base filter CSV files")
-    p_gen.add_argument("--mode", default="bilinear", choices=("bilinear", "nearest"))
+    p_gen.add_argument("--mode", default="bilinear", choices=MODES)
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--format", default="csv", choices=("csv", "pgm"))
     p_gen.set_defaults(func=cmd_gen)
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--group", required=True, help="sets N, e.g. c8 or d8")
     p_demo.add_argument("--j", type=int, default=1)
     p_demo.add_argument("--k", type=int, default=1)
-    p_demo.add_argument("--mode", default="bilinear", choices=("bilinear", "nearest"))
+    p_demo.add_argument("--mode", default="bilinear", choices=MODES)
     p_demo.add_argument("--out", required=True)
     p_demo.set_defaults(func=cmd_demo)
 
@@ -151,12 +151,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
     with _naming("--mode"):
         modes = tuple(check_mode(mode) for mode in lists["mode"])
-    config = SuiteConfig(groups=groups, sizes=sizes, modes=modes, seed=args.seed)
     if args.report is not None:
         # an unwritable or empty report path fails here, not after the whole suite
         with _naming("--report"):
             open(args.report, "a").close()
-    reports = run_suite(config)
+    reports = run_suite(groups, sizes, modes, args.seed)
     if args.report is not None:
         with _naming("--report"):
             Path(args.report).write_text(reports_to_csv(reports))
@@ -167,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"exact={r.exact_subgroup_max:.3e} full={r.full_group_max:.3e} "
             f"feature={r.feature_exact_max:.3e}"
         )
-    ok = suite_passes(reports)
+    ok = all(r.passed() for r in reports)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

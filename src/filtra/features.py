@@ -11,15 +11,15 @@ buffer of about COLUMN_TILE doubles, then multiplied by the kernel flattened
 to (dim_out, dim_in * S * S) straight into the output.  The buffer is sized
 to stay in a core's L2 cache between the copy and the product.  The band
 height depends only on dim_in * S * S and the output width W', so a block's
-result does not depend on how many blocks are correlated with it.  `conv2d`
-copies each block into the interior of one reused zero-bordered buffer and
-correlates that.  `_correlate` with no padding reads the map itself and
-gives the valid (H - S + 1) x (W - S + 1) output, which is `conv2d`'s
-interior crop up to BLAS rounding, because no window there reaches the
-padding.  The equivariance harness runs both sides of its feature check on
-it.  The action on a cropped map reads zero outside the crop, so only at an
-element that maps the grid onto itself does it equal the crop of the acted
-full map.
+result does not depend on how many blocks are correlated with it.
+`_correlate` is that valid correlation: it reads the map itself and gives
+the (H - S + 1) x (W - S + 1) output.  `conv2d` runs it on a zero-padded
+copy of the map, so the valid output is `conv2d`'s interior crop up to BLAS
+rounding, because no window there reaches the padding.  The equivariance
+harness runs both sides of its feature check on the valid correlation.  The
+action on a cropped map reads zero outside the crop, so only at an element
+that maps the grid onto itself does it equal the crop of the acted full
+map.
 
 `pool_spatial` is a separable strided max: k in-place maxima over strided
 row slices into a (C, out_h, W) buffer, then k over its strided column
@@ -97,13 +97,10 @@ def feature_map(group: GroupSpec, rep: RepSpec, data: np.ndarray) -> FeatureMap:
     return FeatureMap(group, rep, data)
 
 
-def _correlate(kernel: SteerableKernel, f: FeatureMap, pad: int) -> FeatureMap:
-    """Cross-correlate the feature map, zero-padded by `pad` on each side,
-    with the kernel at stride 1; the output has H + 2 pad - S + 1 rows and
-    W + 2 pad - S + 1 columns and carries the kernel's output
-    representation.  `pad` = 0 is the valid correlation, which reads the map
-    itself; otherwise each block in turn is copied into the interior of one
-    reused zero-bordered buffer."""
+def _correlate(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
+    """Valid cross-correlation of the feature map with the kernel at stride
+    1: the output has H - S + 1 rows and W - S + 1 columns, reads the map
+    alone and carries the kernel's output representation."""
     if f.group != kernel.group:
         raise ValueError(f"feature group {f.group.name} != kernel group {kernel.group.name}")
     if f.rep != kernel.rep_in:
@@ -113,30 +110,33 @@ def _correlate(kernel: SteerableKernel, f: FeatureMap, pad: int) -> FeatureMap:
         raise ValueError(f"spatial size {f.height}x{f.width} smaller than the kernel size {s}")
     blocks = f.blocks()
     (m, di, h, w), do = blocks.shape, kernel.rep_out.dim
-    source = np.zeros((1, di, h + 2 * pad, w + 2 * pad)) if pad else blocks
-    oh, ow, k = h + 2 * pad - s + 1, w + 2 * pad - s + 1, di * s * s
+    oh, ow, k = h - s + 1, w - s + 1, di * s * s
     # (blocks, di, S, S, H', W'): window offset first, output pixel last
-    strides = source.strides + source.strides[2:]
-    windows = as_strided(source, (len(source), di, s, s, oh, ow), strides, writeable=False)
+    strides = blocks.strides + blocks.strides[2:]
+    windows = as_strided(blocks, (m, di, s, s, oh, ow), strides, writeable=False)
     rows = min(oh, max(1, COLUMN_TILE // (k * ow)))
     buffer = np.empty(k * rows * ow)
     weights = kernel.grids.reshape(do, k)
     out = np.empty((m, do, oh * ow))
     for b in range(m):
-        if pad:
-            source[0, :, pad : pad + h, pad : pad + w] = blocks[b]
         for y in range(0, oh, rows):
             band = min(rows, oh - y)
             columns = buffer[: k * band * ow].reshape(k, band * ow)
-            np.copyto(columns.reshape(di, s, s, band, ow), windows[0 if pad else b, :, :, :, y : y + band])
+            np.copyto(columns.reshape(di, s, s, band, ow), windows[b, :, :, :, y : y + band])
             np.matmul(weights, columns, out=out[b, :, y * ow : (y + band) * ow])
     return FeatureMap(f.group, kernel.rep_out, out.reshape(m * do, oh, ow))
 
 
 def conv2d(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
     """Cross-correlate the feature map with the kernel: zero padding, stride 1,
-    same spatial size; output carries the kernel's output representation."""
-    return _correlate(kernel, f, kernel.size // 2)
+    same spatial size; output carries the kernel's output representation.
+    The valid correlation of a zero-padded copy of the map."""
+    s = kernel.size
+    if f.height < s or f.width < s:
+        raise ValueError(f"spatial size {f.height}x{f.width} smaller than the kernel size {s}")
+    pad = s // 2
+    padded = np.pad(f.data, ((0, 0), (pad, pad), (pad, pad)))
+    return _correlate(kernel, FeatureMap(f.group, f.rep, padded))
 
 
 def act_on_feature_stack(

@@ -9,10 +9,9 @@ The resampling surface is `sample_plane`, the one primitive, and
 `filter_transform`, which stacks a base filter with its rotated and
 reflected copies, one per element of the group.  The coordinate maps of a
 group's elements are one read-only (|G|, 2, 2) table, `coordinate_table`,
-built once per group; `coordinate_matrix(g)` is its row `g.index`, so the
-steer checks and the group action read maps without fresh trigonometry.
-`sample_plane(f, coordinate_matrix(g), mode)` evaluates f at the
-coordinates moved by one element g: out(x) = f(g x).
+built once per group, so the steer checks and the group action read maps
+without fresh trigonometry.  `sample_plane(f, coordinate_table(g.spec)[g.index],
+mode)` evaluates f at the coordinates moved by one element g: out(x) = f(g x).
 
 Resampling through a linear coordinate map is a fixed sparse linear map on
 the pixels: one tap per pixel for nearest, up to four for bilinear.
@@ -52,7 +51,7 @@ import math
 
 import numpy as np
 
-from .groups import TAU, GroupElement, GroupSpec, cyclic_group, product_indices
+from .groups import TAU, GroupSpec, cyclic_group, product_indices
 
 MODES = ("bilinear", "nearest")
 
@@ -223,8 +222,9 @@ def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarra
 @functools.lru_cache(maxsize=64)
 def coordinate_table(spec: GroupSpec) -> np.ndarray:
     """The (|G|, 2, 2) coordinate maps of every element, row `g.index` for g,
-    built once per group and read-only.  Row g is the rotation by g's angle,
-    after the reflection y -> -y when g reflects."""
+    built once per group and read-only.  Row g is g acting on centred
+    coordinates: the rotation by g's angle, after the reflection y -> -y
+    when g reflects."""
     rows = []
     for g in spec.elements():
         c, s = rotation_cos_sin(g.i1, spec.rotation_order)
@@ -233,13 +233,6 @@ def coordinate_table(spec: GroupSpec) -> np.ndarray:
     table = np.array(rows)
     table.setflags(write=False)
     return table
-
-
-def coordinate_matrix(g: GroupElement) -> np.ndarray:
-    """Matrix of g acting on centered coordinates: reflect (y -> -y) first
-    when i0 = 1, then rotate by the element's angle.  A read-only row of
-    `coordinate_table`."""
-    return coordinate_table(g.spec)[g.index]
 
 
 @functools.lru_cache(maxsize=256)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureMap, _correlate, act_on_feature_stack
-from .filters import coordinate_matrix, exact_indices, sample_plane
+from .filters import coordinate_table, exact_indices, sample_plane
 from .groups import GroupElement, GroupSpec, cyclic_group, dihedral_group
 from .kernels import (
     SteerableKernel,
@@ -42,7 +42,6 @@ from .representations import regular_rep_matrix
 
 KERNEL_TOL = 1e-12
 FEATURE_TOL = 1e-10
-IDENTITY_TOL = 1e-12
 FEATURE_SIDE = 15
 
 
@@ -63,7 +62,8 @@ def check_kernel_equivariance(kernel: SteerableKernel, g: GroupElement) -> tuple
     # a chunk of one, from views of g's matrices: stacking them with np.array
     # would add about a sixth to a small kernel's check (c16, S = 5)
     rho_out, rho_in = kernel.rep_out.matrix(g), kernel.rep_in.matrix(g)
-    [residuals] = _steer_residuals(kernel, coordinate_matrix(g)[None], rho_out[None], rho_in[None])
+    maps = coordinate_table(g.spec)[g.index : g.index + 1]
+    [residuals] = _steer_residuals(kernel, maps, rho_out[None], rho_in[None])
     return residuals
 
 
@@ -80,7 +80,8 @@ def check_kernel_elements(
         part = elements[start : start + chunk]
         rho_out = np.array([kernel.rep_out.matrix(g) for g in part])
         rho_in = np.array([kernel.rep_in.matrix(g) for g in part])
-        results += _steer_residuals(kernel, np.array([coordinate_matrix(g) for g in part]), rho_out, rho_in)
+        maps = coordinate_table(kernel.group)[[g.index for g in part]]
+        results += _steer_residuals(kernel, maps, rho_out, rho_in)
     return results
 
 
@@ -144,8 +145,8 @@ def check_feature_equivariance(
     n, (c, h, w) = len(elements), f.data.shape
     acted = act_on_feature_stack(elements, f, mode)
     # two calls: one over f and its copies would first concatenate them
-    acted_first = _correlate(kernel, FeatureMap(f.group, f.rep, acted.reshape(n * c, h, w)), 0).data
-    acted_last = act_on_feature_stack(elements, _correlate(kernel, f, 0), mode)
+    acted_first = _correlate(kernel, FeatureMap(f.group, f.rep, acted.reshape(n * c, h, w))).data
+    acted_last = act_on_feature_stack(elements, _correlate(kernel, f), mode)
     diff = np.abs(acted_first.reshape(acted_last.shape) - acted_last).reshape(n, -1).max(axis=1)
     scale = np.abs(acted_last).reshape(n, -1).max(axis=1)
     return [_residuals(a, s) for a, s in zip(diff.tolist(), scale.tolist())]
@@ -234,18 +235,12 @@ class EquivarianceReport:
         return self.exact_subgroup_max <= KERNEL_TOL and self.feature_exact_max <= FEATURE_TOL
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    groups: tuple[GroupSpec, ...]
-    sizes: tuple[int, ...] = (3,)
-    modes: tuple[str, ...] = ("bilinear",)
-    seed: int = 42
-
-
 def check_family(label: str, kernel: SteerableKernel, f: FeatureMap) -> EquivarianceReport:
     """Check one kernel at every group element, and on the valid crop of the
     square feature map `f` at the elements exact on both the kernel's grid
     and f's grid."""
+    if f.height != f.width:
+        raise ValueError(f"feature map must be square, got spatial shape {f.height}x{f.width}")
     group, size, mode = kernel.group, kernel.size, kernel.mode
     elements = group.elements()
     exact = exact_indices(group, size, mode)
@@ -268,18 +263,21 @@ def check_family(label: str, kernel: SteerableKernel, f: FeatureMap) -> Equivari
     )
 
 
-def run_suite(config: SuiteConfig) -> list[EquivarianceReport]:
-    """Check every kernel family built from seeded random base filters.
+def run_suite(
+    groups: Sequence[GroupSpec], sizes: Sequence[int], modes: Sequence[str], seed: int
+) -> list[EquivarianceReport]:
+    """Check every kernel family built from seeded random base filters, for
+    each group, filter size and mode in turn.
 
     Kernel-level residuals are evaluated at every group element; the
     feature-level check runs on one random feature map at the exact elements.
     Deterministic given the seed.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     reports = []
-    for group in config.groups:
-        for size in config.sizes:
-            for mode in config.modes:
+    for group in groups:
+        for size in sizes:
+            for mode in modes:
                 for label, kernel in kernel_families(group, size, mode, rng):
                     shape = (kernel.rep_in.dim, FEATURE_SIDE, FEATURE_SIDE)
                     fdata = rng.uniform(-1.0, 1.0, shape)
@@ -296,7 +294,3 @@ def reports_to_csv(reports: list[EquivarianceReport]) -> str:
                 f"{abs_res:.17g},{rel_res:.17g}"
             )
     return "\n".join(lines) + "\n"
-
-
-def suite_passes(reports: list[EquivarianceReport]) -> bool:
-    return all(r.passed() for r in reports)

@@ -4,10 +4,13 @@ matrices tagged with their input and output representations.
 Every filter-transform kernel comes from `steerable_kernel`, keyed on the
 input representation and always mapping to the regular one:
 `filters.filter_transform` stacks each base filter's |G| copies, and one
-assembly turns the stacks into the grid matrix; the group's DCT basis is
-built once and shared.  Two dihedral constructors remain as calls into it
-because the benchmark builds its forward stack with them.  Also here:
-reversed kernels, the circulant baseline and weight-capacity accounting.
+assembly weights each stack by its irrep block's columns of the group's DCT
+basis (`group_dct_basis`, built once per group and shared) and, for a
+regular input, mixes the blocks by the inverse basis.  The irrep blocks, and
+their order, are read from that basis.  Two dihedral constructors remain as
+calls into it because the benchmark builds its forward stack with them.
+Also here: reversed kernels, the circulant baseline and weight-capacity
+accounting.
 """
 
 from __future__ import annotations
@@ -19,14 +22,7 @@ import numpy as np
 
 from .filters import check_filter_grid, check_mode, filter_transform
 from .groups import GroupSpec, cyclic_group, dihedral_group
-from .representations import (
-    RepSpec,
-    frequency_columns,
-    group_dct_basis,
-    irrep,
-    regular_rep,
-    trivial_rep,
-)
+from .representations import RepSpec, group_dct_basis, irrep, regular_rep, trivial_rep
 
 
 @dataclass(frozen=True)
@@ -54,38 +50,36 @@ class SteerableKernel:
         return self.grids.shape[-1]
 
 
-def input_blocks(rep_in: RepSpec) -> list[tuple[int, int]]:
-    """The (j, k) irrep blocks of rep_in, in `group_dct_basis` column order.
-    A kernel from rep_in takes one base filter per block."""
+def input_blocks(rep_in: RepSpec) -> list[tuple[int, int, slice]]:
+    """The (j, k, column slice) irrep blocks of rep_in, in `group_dct_basis`
+    order.  A kernel from rep_in takes one base filter per block."""
+    blocks = group_dct_basis(rep_in.spec).blocks
     if rep_in.kind == "regular":
-        return [(j, k) for j, k, _ in group_dct_basis(rep_in.spec).blocks]
-    return [(rep_in.j, rep_in.k)]  # the trivial rep is the (0, 0) irrep
+        return list(blocks)
+    # the trivial rep is the (0, 0) irrep
+    return [block for block in blocks if block[:2] == (rep_in.j, rep_in.k)]
 
 
 def input_reps(spec: GroupSpec) -> list[RepSpec]:
-    """Trivial, then the irreps (j-major, k ascending), then regular."""
-    js, ks = range(spec.reflection_order), range(spec.rotation_order // 2 + 1)
-    return [trivial_rep(spec), *(irrep(spec, j, k) for j in js for k in ks), regular_rep(spec)]
+    """Trivial, then the irreps in `group_dct_basis` block order, then regular."""
+    irreps = (irrep(spec, j, k) for j, k, _ in group_dct_basis(spec).blocks)
+    return [trivial_rep(spec), *irreps, regular_rep(spec)]
 
 
 def assemble_grids(rep_in: RepSpec, stacks: Iterable[np.ndarray]) -> np.ndarray:
     """(|G|, dim_in, S, S) grids of the kernel from rep_in to the regular rep,
-    from one (|G|, S, S) stack per irrep block (j, k) of rep_in.  Entry m of a
-    stack is scaled by the frequency-k cosine/sine values at angle index
-    m mod N, its reflected half signed by (-1)**j; the blocks of a regular
-    input are then mixed by the inverse DCT basis."""
-    spec = rep_in.spec
-    blocks = []
-    for (j, k), stack in zip(input_blocks(rep_in), stacks, strict=True):
-        cols = frequency_columns(spec.rotation_order, k)
-        if spec.reflection_order == 2:
-            cols = np.concatenate([cols, (-1.0) ** j * cols])
-        blocks.append(stack[:, None] * cols[:, :, None, None])
+    from one (|G|, S, S) stack per irrep block of rep_in: each stack is
+    scaled by its block's columns of the group's DCT basis, and the blocks of
+    a regular input are then mixed by the inverse basis."""
+    basis = group_dct_basis(rep_in.spec)
+    blocks = [
+        stack[:, None] * basis.matrix[:, cols, None, None]
+        for (_, _, cols), stack in zip(input_blocks(rep_in), stacks, strict=True)
+    ]
     if rep_in.kind != "regular":
         return blocks[0]
     # right-multiply the filter-valued matrix: scalar combinations of grids
-    mix = group_dct_basis(spec).inverse()
-    return np.einsum("oihw,ij->ojhw", np.concatenate(blocks, axis=1), mix)
+    return np.einsum("oihw,ij->ojhw", np.concatenate(blocks, axis=1), basis.inverse())
 
 
 def steerable_kernel(

@@ -12,7 +12,6 @@ import pytest
 from filtra.features import act_on_feature, conv2d, feature_map, group_pool, pool_spatial, relu_channelwise
 from filtra.groups import cyclic_group, dihedral_group
 from filtra.harness import (
-    SuiteConfig,
     check_feature_equivariance,
     check_kernel_equivariance,
     kernel_families,
@@ -191,7 +190,7 @@ def test_criterion_8_capacity_accounting():
 
 def test_criterion_9_interpolated_residual_report(tmp_path):
     start = time.time()
-    reports = run_suite(SuiteConfig(groups=(cyclic_group(8),), sizes=(9,), modes=("bilinear",)))
+    reports = run_suite([cyclic_group(8)], [9], ["bilinear"], 42)
     csv_text = reports_to_csv(reports)
     out = tmp_path / "interpolated.csv"
     out.write_text(csv_text)

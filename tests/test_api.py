@@ -100,3 +100,26 @@ def test_benchmark_entry_points_resolve():
         except (AttributeError, ImportError):
             unresolved.append(chain)
     assert unresolved == []
+
+
+def test_every_module_constant_is_read_in_src():
+    """Each module-level UPPER_CASE constant in src/filtra is read somewhere
+    in src besides its own assignment: a constant nothing reads is a knob
+    that changes nothing."""
+    src = Path(filtra.__file__).resolve().parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    constants = set()
+    for tree in trees:
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id):
+                    constants.add(target.id)
+    reads = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert {"KERNEL_TOL", "MODES", "TAU"} <= constants
+    assert sorted(constants - reads) == []

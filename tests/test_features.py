@@ -18,7 +18,7 @@ from filtra.features import (
     pool_spatial,
     relu_channelwise,
 )
-from filtra.filters import coordinate_matrix, sample_plane
+from filtra.filters import coordinate_table, sample_plane
 from filtra.groups import cyclic_group, dihedral_group, parse_group
 from filtra.kernels import SteerableKernel, steerable_kernel
 from filtra.representations import irrep, regular_rep, trivial_rep
@@ -147,7 +147,7 @@ def test_act_irrep_rotates_vectors():
 def one_element_action(g, f, mode):
     """The group action written out for a single element: one resampling
     pass, then the channel blocks mixed by the representation of g."""
-    moved = sample_plane(f.data, coordinate_matrix(g.inverse()), mode)
+    moved = sample_plane(f.data, coordinate_table(g.spec)[g.inverse().index], mode)
     m, d = f.multiplicity, f.rep.dim
     mixed = f.rep.matrix(g) @ moved.reshape(m, d, f.height * f.width)
     return mixed.reshape(f.data.shape)
@@ -405,11 +405,11 @@ def test_valid_correlation_is_the_interior_crop_of_conv(reps, m, s, dh, dw, tile
     f = feature_map(d4, rin, rng.uniform(-1, 1, (m * rin.dim, h, w)))
     r = s // 2
     with mock.patch.object(features, "COLUMN_TILE", tile):
-        valid = _correlate(kernel, f, 0)
+        valid = _correlate(kernel, f)
         crop = conv2d(kernel, f).data[:, r : h - r, r : w - r]
         # each block alone: its bits do not depend on the blocks beside it
         blocks = f.data.reshape(m, -1, h, w)
-        alone = [_correlate(kernel, feature_map(d4, rin, block), 0).data for block in blocks]
+        alone = [_correlate(kernel, feature_map(d4, rin, block)).data for block in blocks]
     assert valid.rep == rout
     assert valid.data.shape == (m * rout.dim, h - s + 1, w - s + 1)
     # not bit for bit: the band widths, and so BLAS's rounding, differ

@@ -13,7 +13,6 @@ from filtra.filters import (
     _build_taps,
     _round_centred,
     check_filter_grid,
-    coordinate_matrix,
     coordinate_table,
     filter_transform,
     rotation_cos_sin,
@@ -66,28 +65,30 @@ def test_congruent_turns_are_bit_identical(n):
             assert rotation_cos_sin(turn, den) == want, (turn, den)
         # the same angle as an element of C_N and of D_3N
         g, h = cyclic_group(n).element(0, i), dihedral_group(3 * n).element(0, 3 * i)
-        assert coordinate_matrix(g).tobytes() == coordinate_matrix(h).tobytes()
+        assert coordinate_table(g.spec)[g.index].tobytes() == coordinate_table(h.spec)[h.index].tobytes()
         for mode in ("bilinear", "nearest"):
-            moved_g = sample_plane(f, coordinate_matrix(g), mode)
-            assert moved_g.tobytes() == sample_plane(f, coordinate_matrix(h), mode).tobytes()
+            moved_g = sample_plane(f, coordinate_table(g.spec)[g.index], mode)
+            assert moved_g.tobytes() == sample_plane(f, coordinate_table(h.spec)[h.index], mode).tobytes()
     if n % 4 == 0:
         assert rotation_cos_sin(n // 4, n) == (0.0, 1.0)
 
 
 def test_rotate_zero_is_identity():
+    c4 = cyclic_group(4)
     for mode in ("bilinear", "nearest"):
         assert_array_equal(sample_plane(GRID3, np.eye(2), mode), GRID3)
-        assert_array_equal(sample_plane(GRID3, coordinate_matrix(cyclic_group(4).identity()), mode), GRID3)
-        assert_array_equal(filter_transform(GRID3, cyclic_group(4), mode)[0], GRID3)
+        assert_array_equal(sample_plane(GRID3, coordinate_table(c4)[c4.identity().index], mode), GRID3)
+        assert_array_equal(filter_transform(GRID3, c4, mode)[0], GRID3)
 
 
 def test_rotate_quarter_turn_both_modes():
     expected = np.array([[3, 6, 9], [2, 5, 8], [1, 4, 7]], dtype=float)
+    c4 = cyclic_group(4)
     for mode in ("bilinear", "nearest"):
         assert_array_equal(sample_plane(GRID3, _rotation_map(0.0, 1.0), mode), expected)
         # content turned counter-clockwise: evaluated at the inverse element
-        assert_array_equal(sample_plane(GRID3, coordinate_matrix(cyclic_group(4).element(0, 3)), mode), expected)
-        assert_array_equal(filter_transform(GRID3, cyclic_group(4), mode)[1], expected)
+        assert_array_equal(sample_plane(GRID3, coordinate_table(c4)[c4.element(0, 3).index], mode), expected)
+        assert_array_equal(filter_transform(GRID3, c4, mode)[1], expected)
 
 
 def test_rotate_eighth_turn_nearest_is_ring_shift():
@@ -248,16 +249,16 @@ def test_reflected_rotation_stack():
 
 def test_transform_filter_examples():
     c4 = cyclic_group(4)
-    assert_array_equal(sample_plane(GRID3, coordinate_matrix(c4.identity()), "bilinear"), GRID3)
+    assert_array_equal(sample_plane(GRID3, coordinate_table(c4)[c4.identity().index], "bilinear"), GRID3)
     d4 = dihedral_group(4)
-    assert_array_equal(sample_plane(GRID3, coordinate_matrix(d4.element(1, 0)), "bilinear"), GRID3[::-1])
+    assert_array_equal(sample_plane(GRID3, coordinate_table(d4)[d4.element(1, 0).index], "bilinear"), GRID3[::-1])
     stack = filter_transform(GRID3, c4, "bilinear")
-    assert_array_equal(sample_plane(stack[0], coordinate_matrix(c4.element(0, 1)), "bilinear"), stack[3])
+    assert_array_equal(sample_plane(stack[0], coordinate_table(c4)[c4.element(0, 1).index], "bilinear"), stack[3])
     # the filter transform's copy for element g is f(g^-1 x)
     rng = np.random.default_rng(10)
     f = rng.uniform(-1.0, 1.0, (5, 5))
     for g, entry in zip(d4.elements(), filter_transform(f, d4, "bilinear"), strict=True):
-        assert_array_equal(entry, sample_plane(f, coordinate_matrix(g.inverse()), "bilinear"))
+        assert_array_equal(entry, sample_plane(f, coordinate_table(g.spec)[g.inverse().index], "bilinear"))
 
 
 def test_filter_transform_entry_equals_the_inverse_elements_resampling():
@@ -272,7 +273,7 @@ def test_filter_transform_entry_equals_the_inverse_elements_resampling():
                 for mode in ("bilinear", "nearest"):
                     stack = filter_transform(f, spec, mode)
                     for g in spec.elements():
-                        want = sample_plane(f, coordinate_matrix(g), mode)
+                        want = sample_plane(f, coordinate_table(g.spec)[g.index], mode)
                         got = stack[g.inverse().index]
                         if g.i0 and mode == "bilinear":
                             assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -288,9 +289,9 @@ def test_transform_filter_action_property():
     d4 = dihedral_group(4)
     for g in d4.elements():
         for h in d4.elements():
-            moved_h = sample_plane(f, coordinate_matrix(h), "bilinear")
-            lhs = sample_plane(moved_h, coordinate_matrix(g), "bilinear")
-            rhs = sample_plane(f, coordinate_matrix(h.compose(g)), "bilinear")
+            moved_h = sample_plane(f, coordinate_table(h.spec)[h.index], "bilinear")
+            lhs = sample_plane(moved_h, coordinate_table(g.spec)[g.index], "bilinear")
+            rhs = sample_plane(f, coordinate_table(h.spec)[h.compose(g).index], "bilinear")
             assert_array_equal(lhs, rhs)
 
 
@@ -334,8 +335,8 @@ def _reference_sample_plane(values, matrix, mode):
 
 def _sample_cases():
     d6 = dihedral_group(6)
-    matrices = [coordinate_matrix(g) for g in d6.elements()]
-    matrices += [coordinate_matrix(g) for g in dihedral_group(8).elements() if g.i1 % 2]
+    matrices = [coordinate_table(g.spec)[g.index] for g in d6.elements()]
+    matrices += [coordinate_table(g.spec)[g.index] for g in dihedral_group(8).elements() if g.i1 % 2]
     c, s = math.cos(0.37), math.sin(0.37)
     matrices += [np.array([[c, s], [-s, c]]), np.array([[0.9, 0.3], [-0.2, 1.1]])]
     shapes = [(1, 1), (3, 3), (5, 5), (9, 9), (5, 7), (7, 3), (2, 3, 5, 5), (4, 1, 3, 7)]
@@ -362,8 +363,8 @@ def test_sample_plane_taps_are_cached_read_only_and_bounded():
     rng = np.random.default_rng(14)
     values = rng.uniform(-1.0, 1.0, (3, 7, 7))
     d8 = dihedral_group(8)
-    matrix = coordinate_matrix(d8.element(1, 3))
-    stack = np.array([coordinate_matrix(g) for g in d8.elements()]).reshape(4, 4, 2, 2)
+    matrix = coordinate_table(d8)[d8.element(1, 3).index]
+    stack = np.array([coordinate_table(g.spec)[g.index] for g in d8.elements()]).reshape(4, 4, 2, 2)
     for mode in ("bilinear", "nearest"):
         for maps in (matrix, stack):
             _build_taps.cache_clear()
@@ -386,8 +387,8 @@ def test_sample_plane_taps_are_cached_read_only_and_bounded():
 
 
 def test_tap_cache_bounds_bytes_and_keeps_no_oversized_stack():
-    quarter = coordinate_matrix(cyclic_group(4).element(0, 1))
-    eighth = coordinate_matrix(cyclic_group(8).element(0, 1))
+    quarter = coordinate_table(cyclic_group(4))[1]
+    eighth = coordinate_table(cyclic_group(8))[1]
     side = math.isqrt(TAP_CACHE_PIXELS // 8)
     assert 8 * side * side <= TAP_CACHE_PIXELS < 9 * side * side
     values = np.ones((side, side))
@@ -408,7 +409,7 @@ def test_tap_cache_bounds_bytes_and_keeps_no_oversized_stack():
 
 def _stack_matrices(rng, n):
     """n maps: group elements of D_8 and D_6 (exact and not), plus random ones."""
-    pool = [coordinate_matrix(g) for spec in (dihedral_group(8), dihedral_group(6)) for g in spec.elements()]
+    pool = [coordinate_table(g.spec)[g.index] for spec in (dihedral_group(8), dihedral_group(6)) for g in spec.elements()]
     out = []
     for _ in range(n):
         if rng.uniform() < 0.6:
@@ -522,7 +523,7 @@ def test_filter_transform_matches_per_rotation_reference_for_any_n_and_size(n, s
 def test_grid_exact_bilinear_maps_keep_one_tap_plane():
     # every element of D_4 sends the integer centred coordinates of an odd
     # grid to integer ones, on or off the grid
-    exact = [coordinate_matrix(g) for g in dihedral_group(4).elements()]
+    exact = [coordinate_table(g.spec)[g.index] for g in dihedral_group(4).elements()]
     for h, w in ((5, 5), (9, 9), (1, 1), (3, 7)):
         for matrix in exact:
             index, weight = _build_taps(h, w, _key(matrix), "bilinear")
@@ -532,7 +533,7 @@ def test_grid_exact_bilinear_maps_keep_one_tap_plane():
     # on a square grid they are permutations: one plane of weight 1
     index, weight = _build_taps(7, 7, _key(exact), "bilinear")
     assert index.shape == (1, 8 * 49) and np.all(weight == 1.0)
-    eighth = coordinate_matrix(dihedral_group(8).element(0, 1))
+    eighth = coordinate_table(dihedral_group(8))[1]
     assert _build_taps(7, 7, _key(eighth), "bilinear")[0].shape == (4, 49)
     # a map that sends every pixel off the grid keeps one all-zero plane (an
     # even grid has no pixel at the origin, which every linear map fixes)
@@ -558,7 +559,7 @@ def test_coordinate_table_rows_equal_the_formula():
             assert table.shape == (spec.order, 2, 2)
             for g in spec.elements():
                 want = _coordinate_formula(g).tobytes()
-                assert coordinate_matrix(g).tobytes() == want, g
+                assert coordinate_table(g.spec)[g.index].tobytes() == want, g
                 assert table[g.index].tobytes() == want, g
 
 
@@ -569,6 +570,6 @@ def test_coordinate_table_is_read_only_and_built_once():
     assert not table.flags.writeable
     for g in d8.elements():
         with pytest.raises(ValueError, match="read-only"):
-            coordinate_matrix(g)[0, 0] = 2.0
+            coordinate_table(g.spec)[g.index][0, 0] = 2.0
     assert coordinate_table(dihedral_group(8)) is table
     assert coordinate_table.cache_info().misses == 1

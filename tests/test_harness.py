@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from filtra import features, filters, harness
 from filtra.features import FeatureMap, act_on_feature_stack, conv2d, feature_map
-from filtra.filters import coordinate_matrix, exact_indices, sample_plane
+from filtra.filters import coordinate_table, exact_indices, sample_plane
 from filtra.groups import cyclic_group, dihedral_group, product_indices
 from filtra.harness import (
     FEATURE_SIDE,
-    IDENTITY_TOL,
     KERNEL_TOL,
-    SuiteConfig,
     check_family,
     check_feature_equivariance,
     check_kernel_elements,
@@ -24,7 +22,6 @@ from filtra.harness import (
     kernel_families,
     reports_to_csv,
     run_suite,
-    suite_passes,
     verify_construction_identities,
 )
 from filtra.kernels import SteerableKernel, regular_to_regular_dihedral, steerable_kernel
@@ -166,6 +163,29 @@ def test_feature_check_fails_a_kernel_that_does_not_steer(group, rep_in, size, s
     assert check_family("random", kernel, f).feature_exact_max > 1e-3
 
 
+def test_check_family_rejects_a_non_square_feature_map():
+    # the exact set of the feature check is derived for a square grid: on a
+    # 15 x 17 map a quarter turn does not map the valid crop onto itself
+    c4 = cyclic_group(4)
+    kernel = steerable_kernel(trivial_rep(c4), [RNG.uniform(-1, 1, (3, 3))])
+    wide = feature_map(c4, trivial_rep(c4), RNG.uniform(-1, 1, (1, 15, 17)))
+    with pytest.raises(ValueError, match="15x17"):
+        check_family("triv2reg", kernel, wide)
+    square = feature_map(c4, trivial_rep(c4), RNG.uniform(-1, 1, (1, 15, 15)))
+    assert check_family("triv2reg", kernel, square).passed()
+
+
+@pytest.mark.parametrize("side", [3, 4])
+def test_feature_check_rejects_a_map_smaller_than_the_kernel(side):
+    # the valid crop would be empty: a message naming the sizes, not a
+    # division by a zero-width band
+    c4 = cyclic_group(4)
+    kernel = steerable_kernel(trivial_rep(c4), [RNG.uniform(-1, 1, (5, 5))])
+    f = feature_map(c4, trivial_rep(c4), np.zeros((1, side, side)))
+    with pytest.raises(ValueError, match=f"spatial size {side}x{side} smaller than the kernel size 5"):
+        check_feature_equivariance(kernel, f, c4.elements())
+
+
 def test_is_exact_element():
     c8, c12 = cyclic_group(8), cyclic_group(12)
     assert is_exact_element(c8.element(0, 2), 5, "bilinear")  # quarter turn
@@ -204,7 +224,7 @@ def _hand_rule(g, size, mode):
     turns (any reflection), and eighth turns on 3x3 grids under nearest."""
     if size == 1:
         return True
-    c, s = coordinate_matrix(g)[:, 0].tolist()
+    c, s = coordinate_table(g.spec)[g.index][:, 0].tolist()
     if c == round(c) and s == round(s):
         return True
     h = math.sqrt(0.5)
@@ -280,7 +300,7 @@ def test_construction_identities(n):
         "dihedral-regular",
     }
     for label, residual in results.items():
-        assert residual <= IDENTITY_TOL, (label, residual)
+        assert residual <= KERNEL_TOL, (label, residual)
 
 
 @pytest.mark.parametrize("n", [1, 4, 5])
@@ -309,19 +329,18 @@ def test_construction_identities_are_not_vacuous(n, monkeypatch):
     for label in ("dihedral-trivial", "dihedral-irrep", "dihedral-regular"):
         assert results[label] >= 0.1, (label, results[label])
     for label in ("cyclic-trivial", "cyclic-irrep", "cyclic-regular"):
-        assert results[label] <= IDENTITY_TOL, (label, results[label])
+        assert results[label] <= KERNEL_TOL, (label, results[label])
 
 
 def test_run_suite_trivial_group():
-    reports = run_suite(SuiteConfig(groups=(cyclic_group(1),), sizes=(3,)))
+    reports = run_suite([cyclic_group(1)], [3], ["bilinear"], 42)
     assert all(r.full_group_max == 0.0 for r in reports)
-    assert suite_passes(reports)
+    assert all(r.passed() for r in reports)
 
 
 def test_run_suite_exactness():
-    config = SuiteConfig(groups=(cyclic_group(4), dihedral_group(4)), sizes=(3, 5, 7))
-    reports = run_suite(config)
-    assert suite_passes(reports)
+    reports = run_suite([cyclic_group(4), dihedral_group(4)], [3, 5, 7], ["bilinear"], 42)
+    assert all(r.passed() for r in reports)
     for r in reports:
         assert r.exact_subgroup_max <= 1e-10
         assert r.exact_subgroup_max <= r.full_group_max + 1e-15
@@ -329,21 +348,19 @@ def test_run_suite_exactness():
 
 
 def test_run_suite_nearest_eighth_turns():
-    reports = run_suite(SuiteConfig(groups=(cyclic_group(8),), sizes=(3,), modes=("nearest",)))
+    reports = run_suite([cyclic_group(8)], [3], ["nearest"], 42)
     for r in reports:
         assert r.full_group_max <= 1e-10
 
 
 def test_run_suite_deterministic():
-    config = SuiteConfig(groups=(dihedral_group(2),), sizes=(3,), seed=5)
-    a = reports_to_csv(run_suite(config))
-    b = reports_to_csv(run_suite(config))
+    a = reports_to_csv(run_suite([dihedral_group(2)], [3], ["bilinear"], 5))
+    b = reports_to_csv(run_suite([dihedral_group(2)], [3], ["bilinear"], 5))
     assert a == b
 
 
 def test_reports_csv_shape():
-    config = SuiteConfig(groups=(cyclic_group(2),), sizes=(3,))
-    reports = run_suite(config)
+    reports = run_suite([cyclic_group(2)], [3], ["bilinear"], 42)
     lines = reports_to_csv(reports).strip().splitlines()
     assert lines[0] == "kind,group,S,mode,i0,i1,abs_residual,rel_residual"
     assert len(lines) == 1 + sum(len(r.per_element) for r in reports)
@@ -365,7 +382,7 @@ def test_kernel_families_cover_constructions():
 
 def _einsum_kernel_residuals(kernel, g):
     """The steer check written as one three-operand contraction."""
-    lhs = sample_plane(kernel.grids, coordinate_matrix(g), kernel.mode)
+    lhs = sample_plane(kernel.grids, coordinate_table(g.spec)[g.index], kernel.mode)
     rhs = np.einsum("ab,bchw,cd->adhw", kernel.rep_out.matrix(g), kernel.grids, kernel.rep_in.matrix(g).T)
     abs_res = float(np.abs(lhs - rhs).max())
     scale = float(np.abs(rhs).max())
