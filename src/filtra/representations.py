@@ -9,20 +9,21 @@ coordinates indexed by group elements: column h is the unit vector at g * h,
 computed for g's row alone by `groups.product_indices`.
 
 Each irrep is one read-only (|G|, d, d) table, d <= 2, built once per group
-by `irrep_table`; `irrep_matrix(g, j, k)` is its row `g.index`.  Regular
-matrices are |G| x |G| each, so they are built and cached per element
-instead: a table of them would hold |G|**3 values.
+by `irrep_table` from `filters.coordinate_table`, so the irreps, the DCT
+columns and the resampling share one set of exact turns; `irrep_matrix(g, j,
+k)` is its row `g.index`.  Regular matrices are |G| x |G| each, so they are
+built and cached per element instead: a table of them would hold |G|**3 values.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import TAU, GroupElement, GroupSpec, product_indices
+from .filters import coordinate_table
+from .groups import GroupElement, GroupSpec, cyclic_group, product_indices
 
 
 @functools.lru_cache(maxsize=128)
@@ -72,7 +73,7 @@ def _check_frequencies(spec: GroupSpec, j: int, k: int) -> None:
 def irrep_matrix(g: GroupElement, j: int, k: int) -> np.ndarray:
     """Irrep with reflection frequency j and rotation frequency k, evaluated at g.
 
-    The two-dimensional case is the rotation by k*2*pi*i1/N followed by
+    The two-dimensional case is the rotation by the turn k*i1/N followed by
     diag(1, -1) when g reflects, scaled by (-1)**(j*i0).  The one-dimensional
     cases are k = 0 and, for even N, k = N/2 where the rotation part is
     (-1)**i1.  A read-only row of `irrep_table`.
@@ -85,19 +86,13 @@ def irrep_matrix(g: GroupElement, j: int, k: int) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def irrep_table(spec: GroupSpec, j: int, k: int) -> np.ndarray:
     """The (|G|, d, d) matrices of the (j, k) irrep at every element, row
-    `g.index` for g, built once per group and read-only."""
+    `g.index` for g, read-only: row i0*N + (k*i1 mod N) of `coordinate_table`,
+    scaled by (-1)**(j*i0) and cut to d x d, so 1-dim irreps are exactly 1 or (-1)**i1."""
     _check_frequencies(spec, j, k)
-    rows = []
-    for g in spec.elements():
-        if irrep_dim(spec, k) == 1:
-            rot = np.array([[(-1.0) ** g.i1 if k != 0 else 1.0]])
-        else:
-            a = k * g.angle
-            rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-            if g.i0:
-                rot = rot @ np.diag([1.0, -1.0])
-        rows.append(rot * (-1.0) ** (j * g.i0))
-    table = np.array(rows)
+    n = spec.rotation_order
+    i0, i1 = np.divmod(np.arange(spec.order), n)
+    d = irrep_dim(spec, k)
+    table = coordinate_table(spec)[i0 * n + k * i1 % n, :d, :d] * (-1.0) ** (j * i0)[:, None, None]
     table.setflags(write=False)
     return table
 
@@ -153,7 +148,7 @@ def regular_rep(spec: GroupSpec) -> RepSpec:
 
 
 def frequency_columns(n: int, k: int) -> np.ndarray:
-    """Sampled cosine/sine columns at rotation frequency k.
+    """Sampled cosine/sine columns at rotation frequency k: the C_N irrep k's first columns.
 
     k = 0 gives the all-ones column; k = N/2 (N even) the alternating-sign
     column; otherwise an N x 2 matrix with rows [cos(k*theta_i), sin(k*theta_i)].
@@ -162,12 +157,7 @@ def frequency_columns(n: int, k: int) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= k <= n // 2:
         raise ValueError(f"rotation frequency k={k} out of range 0..{n // 2}")
-    angles = TAU * k * np.arange(n) / n
-    if k == 0:
-        return np.ones((n, 1))
-    if n % 2 == 0 and k == n // 2:
-        return np.cos(angles).reshape(n, 1)
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return irrep_table(cyclic_group(n), 0, k)[:, :, 0].copy()
 
 
 @dataclass(frozen=True)
@@ -219,20 +209,20 @@ def decompose_regular(g: GroupElement) -> tuple[DctBasis, np.ndarray]:
     return basis, d
 
 
-def intertwiner_residual(n: int, k: int, g: GroupElement) -> float:
+def intertwiner_residual(k: int, g: GroupElement) -> float:
     """Largest deviation of the frequency columns from intertwining the
     regular action with the frequency-k irrep action.
 
     For rotations this checks irrep(g) @ b.T == b.T @ P(i1), P(i1) the C_N
     regular matrix; for reflected elements both sign variants against B(i1),
-    the [:N, N:] block of the D_N regular matrix.
+    the [:N, N:] block of the D_N regular matrix, N that of g's group.
     """
+    n = g.spec.rotation_order
     b = frequency_columns(n, k).T  # dim(k) x N
     if g.i0 == 0:
-        r = GroupElement(0, g.i1, GroupSpec(1, n))
+        r = cyclic_group(n).element(0, g.i1)
         return float(np.abs(irrep_matrix(r, 0, k) @ b - b @ regular_rep_matrix(r)).max())
-    h = GroupElement(1, g.i1, GroupSpec(2, n))
-    refl = regular_rep_matrix(h)[:n, n:]
-    r0 = np.abs(irrep_matrix(h, 0, k) @ b - b @ refl).max()
-    r1 = np.abs(irrep_matrix(h, 1, k) @ b + b @ refl).max()
+    refl = regular_rep_matrix(g)[:n, n:]
+    r0 = np.abs(irrep_matrix(g, 0, k) @ b - b @ refl).max()
+    r1 = np.abs(irrep_matrix(g, 1, k) @ b + b @ refl).max()
     return float(max(r0, r1))

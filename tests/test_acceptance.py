@@ -75,7 +75,7 @@ def test_criterion_2_frequency_column_identities():
     for n in range(1, 13):
         for g in dihedral_group(n).elements():
             for k in range(n // 2 + 1):
-                worst = max(worst, intertwiner_residual(n, k, g))
+                worst = max(worst, intertwiner_residual(k, g))
     _finish("criterion 2: frequency-column identities N<=12", worst, 1e-12, time.time() - start, 2.0)
 
 

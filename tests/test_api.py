@@ -123,3 +123,30 @@ def test_every_module_constant_is_read_in_src():
     }
     assert {"KERNEL_TOL", "MODES", "TAU"} <= constants
     assert sorted(constants - reads) == []
+
+
+def _trig_call_sites(node: ast.AST, where: str) -> list[str]:
+    """The dotted enclosing def or class of every call to a function named
+    cos or sin (`math.cos`, `np.sin`, a bare `cos`) under node."""
+    sites = []
+    for child in ast.iter_child_nodes(node):
+        here = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            here = f"{where}.{child.name}"
+        if isinstance(child, ast.Call):
+            func = child.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in ("cos", "sin"):
+                sites.append(here)
+        sites += _trig_call_sites(child, here)
+    return sites
+
+
+def test_cos_and_sin_are_called_only_in_rotation_cos_sin():
+    """Every cos/sin in src/filtra is taken by `filters.rotation_cos_sin` on an
+    exact turn: the coordinate maps, the irreps and the DCT columns read its
+    values, so no float-angle path can differ from them in the last bits."""
+    src = Path(filtra.__file__).resolve().parent
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        sites += _trig_call_sites(ast.parse(path.read_text()), path.stem)
+    assert sites and set(sites) == {"filters.rotation_cos_sin"}, sites

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from filtra.filters import coordinate_table
+from filtra.filters import coordinate_table, rotation_cos_sin
 from filtra.groups import cyclic_group, dihedral_group
 from filtra.representations import (
     RepSpec,
@@ -196,6 +195,11 @@ def test_frequency_columns_examples():
     )
     with pytest.raises(ValueError):
         frequency_columns(4, 3)
+    # the columns take the exact-turn cos/sin of the coordinate maps, bit for bit
+    for n in range(1, 33):
+        for k in range(n // 2 + 1):
+            want = [rotation_cos_sin(k * i, n)[: 1 if 2 * k in (0, n) else 2] for i in range(n)]
+            assert frequency_columns(n, k).tobytes() == np.array(want).tobytes(), (n, k)
 
 
 def test_cyclic_basis_examples():
@@ -269,20 +273,33 @@ def test_decomposition_reconstruction(n):
         for g in spec.elements():
             basis, d = decompose_regular(g)
             rec = basis.matrix @ d @ basis.inverse()
-            assert np.abs(rec - regular_rep_matrix(g)).max() <= 1e-10
+            assert np.abs(rec - regular_rep_matrix(g)).max() <= 1e-15
 
 
 def test_intertwiner_examples():
-    assert intertwiner_residual(8, 0, cyclic_group(8).element(0, 3)) == 0.0
-    assert intertwiner_residual(4, 1, cyclic_group(4).element(0, 1)) <= 1e-12
-    assert intertwiner_residual(4, 1, dihedral_group(4).element(1, 0)) <= 1e-12
+    assert intertwiner_residual(0, cyclic_group(8).element(0, 3)) == 0.0
+    # quarter turns and reflections are exact sign and swap steps of rotation_cos_sin
+    assert intertwiner_residual(1, cyclic_group(4).element(0, 1)) == 0.0
+    assert intertwiner_residual(1, dihedral_group(4).element(1, 0)) == 0.0
+
+
+def test_irreps_and_intertwiners_are_exact_at_quarter_turns():
+    # a quarter-turn multiple k*i1/N is an exact swap and sign step at every k
+    for n in range(4, 33, 4):
+        spec = dihedral_group(n)
+        for g in spec.elements():
+            if g.i1 % (n // 4) == 0:
+                for k in range(n // 2 + 1):
+                    for j in (0, 1):
+                        assert set(np.abs(irrep_matrix(g, j, k)).ravel()) <= {0.0, 1.0}, (g, j, k)
+                    assert intertwiner_residual(k, g) == 0.0, (g, k)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_intertwiner_exhaustive(n):
     for g in dihedral_group(n).elements():
         for k in range(n // 2 + 1):
-            assert intertwiner_residual(n, k, g) <= 1e-12
+            assert intertwiner_residual(k, g) <= 1e-15
 
 
 def test_rep_spec_validation():
@@ -297,15 +314,15 @@ def test_rep_spec_validation():
 
 def _irrep_formula(g, j, k):
     """The (j, k) irrep at g: (-1)**i1 or 1 for the one-dimensional irreps,
-    else the rotation by k times g's angle, after diag(1, -1) when g
+    else the rotation by the exact turn k*i1/N, after diag(1, -1) when g
     reflects; either way scaled by (-1)**(j * i0)."""
     sign = (-1.0) ** (j * g.i0)
     n = g.spec.rotation_order
     if k == 0 or (n % 2 == 0 and k == n // 2):
         rot = (-1.0) ** g.i1 if k != 0 else 1.0
         return np.array([[rot * sign]])
-    a = k * g.angle
-    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    c, s = rotation_cos_sin(k * g.i1, n)
+    rot = np.array([[c, -s], [s, c]])
     if g.i0:
         rot = rot @ np.diag([1.0, -1.0])
     return rot * sign
