@@ -5,13 +5,12 @@ Grids are square with odd side length so a center pixel exists; the center
 pixel sits at the origin, x grows rightward (columns), y grows upward (rows
 decrease).  Samples outside the grid read as zero.
 
-The resampling surface is `sample_plane`, the one primitive, and
-`filter_transform`, which stacks a base filter with its rotated and
-reflected copies, one per element of the group.  The coordinate maps of a
-group's elements are one read-only (|G|, 2, 2) table, `coordinate_table`,
-built once per group, so the steer checks and the group action read maps
-without fresh trigonometry.  `sample_plane(f, coordinate_table(g.spec)[g.index],
-mode)` evaluates f at the coordinates moved by one element g: out(x) = f(g x).
+The resampling surface is `sample_plane`, the one primitive.  The
+coordinate maps of a group's elements are one read-only (|G|, 2, 2) table,
+`coordinate_table`, built once per group: `sample_plane(f, table[g.index],
+mode)` evaluates f at the coordinates moved by g, out(x) = f(g x).
+`filter_transform` is that action through the whole table in inverse
+order, so its copies steer exactly where the table permutes the grid.
 
 Resampling through a linear coordinate map is a fixed sparse linear map on
 the pixels: one tap per pixel for nearest, up to four for bilinear.
@@ -20,27 +19,23 @@ filter transform, or the acted copies of a feature map, come from one
 gather.  The taps (flat `intp` source index and weight) are built once per
 (grid size, stack of maps, mode) and kept in one `functools.lru_cache` of
 256 stacks, each of at most TAP_CACHE_PIXELS output pixels; larger stacks
-are rebuilt per call.  `exact_indices` reads the same taps of a whole group
-to derive which elements permute a grid exactly.  A call works pixel-major:
-the batched grids are transposed once to (h*w, batch), so a tap copies one
-contiguous row holding every grid.  A bilinear call then takes, per tile of
-output pixels, one `take` of every tap plane, one in-place product with the
-weights and one sum over the planes from +0.0 in their fixed order; the tile
-bounds that to about TAP_TILE doubles.  The pixel-major result is transposed
-back to (..., maps, h, w) once at the end.  A bilinear tap plane whose
-weight is 0 at every pixel of the stack is dropped when the taps are built:
-adding 0 * value to a partial sum that starts from +0.0 changes no bits for
-finite values, and a map that lands on grid points (a quarter turn, a
-reflection) then gathers one plane instead of four.
+are rebuilt per call.  `exact_indices` reads the taps of the whole table,
+the filter transform's own.  A call works pixel-major: the batched grids
+are transposed once to (h*w, batch), so a tap copies one contiguous row
+holding every grid.  A bilinear call then takes, per tile of output pixels,
+one `take` of every tap plane, one in-place product with the weights and
+one sum over the planes from +0.0 in their fixed order; the tile bounds
+that to about TAP_TILE doubles, and the result is transposed back to (...,
+maps, h, w) once.  A bilinear tap plane whose weight is 0 at every pixel of
+the stack is dropped when the taps are built: adding 0 * value to a partial
+sum that starts from +0.0 changes no bits for finite values, and a map that
+lands on grid points (a quarter turn, a reflection) then gathers one plane
+instead of four.
 
-Rotation angles are exact rationals: every rotation is a turn i1/N, reduced
-to lowest terms and folded into the first octant before cos/sin are
-evaluated once; the octant swap and the quarter turns are exact swap and
-sign steps.  This makes rotations by congruent angles bit-identical for
-every N, makes 90-degree multiples exact pixel permutations, and makes the
-turns -m/N and m/N + 1/4 exact mirrors and quarter-turn shifts of m/N.
-Nearest mode rounds centred source coordinates half away from zero, so the
-rounding commutes with negation at every tie.
+Rotation angles are exact rationals (`rotation_cos_sin`), so congruent
+turns resample bit-identically for every N and 90-degree multiples are
+exact pixel permutations.  Nearest mode rounds centred source coordinates
+half away from zero, so the rounding commutes with negation at every tie.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ import math
 
 import numpy as np
 
-from .groups import TAU, GroupSpec, cyclic_group, product_indices
+from .groups import TAU, GroupSpec, product_indices
 
 MODES = ("bilinear", "nearest")
 
@@ -125,6 +120,8 @@ def _build_taps(
     planes are the four bilinear corners in a fixed order less those whose
     weight is 0 everywhere, and never fewer than one."""
     m = np.array(matrices, dtype=float).reshape(-1, 2, 2, 1, 1)
+    if not np.isfinite(m).all():
+        raise ValueError("coordinate maps must be finite")
     cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
     rows, cols = np.indices((h, w))
     x = cols - cc
@@ -185,6 +182,13 @@ def _weighted_tap_sum(source: np.ndarray, index: np.ndarray, weight: np.ndarray)
     return out
 
 
+def _taps(h: int, w: int, matrix: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """`_build_taps` for a stack of maps, cached up to TAP_CACHE_PIXELS pixels."""
+    key = tuple(matrix.ravel().tolist())
+    build = _build_taps if len(key) // 4 * h * w <= TAP_CACHE_PIXELS else _build_taps.__wrapped__
+    return build(h, w, key, mode)
+
+
 def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarray:
     """Resample a grid through a stack of linear coordinate maps.
 
@@ -193,10 +197,10 @@ def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarra
     centered coordinates (x, y) of pixel (r, c); points outside the grid read
     0.  The output has shape values.shape[:-2] + matrix.shape[:-2] + (h, w):
     leading dimensions of `values` are batched over every map of the stack.
-    The taps of a stack of up to TAP_CACHE_PIXELS output pixels are cached
-    per (h, w, stack, mode); bilinear taps are summed in a fixed order from
-    zero, so each map of a stack gives the same bits as a call with that map
-    alone, whatever the tiling.  The output is a new C-contiguous array.
+    Every map must be finite.  Bilinear taps are summed in a fixed order
+    from zero, so each map of a stack gives the same bits as a call with
+    that map alone, whatever the tiling.  The output is a new C-contiguous
+    array.
     """
     check_mode(mode)
     values = np.asarray(values, dtype=float)
@@ -204,9 +208,7 @@ def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarra
     if matrix.ndim < 2 or matrix.shape[-2:] != (2, 2):
         raise ValueError(f"coordinate maps must have shape (..., 2, 2), got {matrix.shape}")
     h, w = values.shape[-2:]
-    key = tuple(matrix.ravel().tolist())
-    build = _build_taps if len(key) // 4 * h * w <= TAP_CACHE_PIXELS else _build_taps.__wrapped__
-    index, weight = build(h, w, key, mode)
+    index, weight = _taps(h, w, matrix, mode)
     lead = values.shape[:-2]
     batch = math.prod(lead)
     # pixel-major: a tap copies one contiguous row holding every batched grid
@@ -238,15 +240,15 @@ def coordinate_table(spec: GroupSpec) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def exact_indices(spec: GroupSpec, size: int, mode: str) -> frozenset[int]:
     """The indices of the elements that act exactly on a size x size grid in
-    this mode, derived from the taps of the whole group's coordinate maps
-    (built uncached).  g is exact when its taps permute the pixels, one
-    in-grid tap of weight exactly 1 per pixel reading each source pixel
+    this mode, derived from the taps of the whole `coordinate_table` (those
+    `filter_transform` reads).  g is exact when its taps permute the pixels,
+    one in-grid tap of weight exactly 1 per pixel reading each source pixel
     once, and when, for every h, h's taps read at g's sources equal the taps
     of h * g, the column of `groups.product_indices` at g: then resampling by
     h and then by g is resampling by h * g."""
     check_mode(mode)
     pixels = size * size
-    index, weight = _build_taps.__wrapped__(size, size, tuple(coordinate_table(spec).ravel().tolist()), mode)
+    index, weight = _taps(size, size, coordinate_table(spec), mode)
     weight = weight.reshape(-1, spec.order, pixels)
     # (planes, |G|, pixels), with -1 at the taps that read nothing
     index = np.where(weight != 0, index.reshape(weight.shape), -1)
@@ -264,14 +266,12 @@ def exact_indices(spec: GroupSpec, size: int, mode: str) -> frozenset[int]:
 
 
 def filter_transform(base: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray:
-    """The filter transform: (|G|, S, S) copies of the base filter f, the
-    copy for element g being f(g^-1 x), in `spec.elements()` order.  Entry m
-    is f rotated counter-clockwise by m/N of a turn; on D_N, entry N + m is
-    its row flip (the reflection about the x-axis) rotated the same way.  Both
-    halves go through the N - 1 inverse-rotation maps in one `sample_plane`
-    call."""
+    """The filter transform: (|G|, S, S) copies of the base filter f in
+    `spec.elements()` order, copy g being f(g^-1 x): row g^-1 of one
+    `sample_plane` call through all of `coordinate_table`.  Copy m is f turned
+    counter-clockwise by m/N of a turn; on D_N, copy N + m is the row flip
+    of f (the reflection about the x-axis) turned the same way."""
     base = check_filter_grid(base)
-    halves = np.stack([base, base[::-1]][: spec.reflection_order])
-    # out(x) = f(R(-theta) x) rotates the content by theta
-    rotated = sample_plane(halves, coordinate_table(cyclic_group(spec.rotation_order))[:0:-1], mode)
-    return np.concatenate([halves[:, None], rotated], axis=1).reshape(-1, *base.shape)
+    n, k = spec.rotation_order, np.arange(spec.order)
+    # a reflection is its own inverse; rotation i1 inverts to -i1 mod N
+    return sample_plane(base, coordinate_table(spec), mode)[np.where(k < n, -k % n, k)]

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,11 +16,12 @@ from filtra.filters import (
     _round_centred,
     check_filter_grid,
     coordinate_table,
+    exact_indices,
     filter_transform,
     rotation_cos_sin,
     sample_plane,
 )
-from filtra.groups import cyclic_group, dihedral_group
+from filtra.groups import cyclic_group, dihedral_group, product_indices
 
 GRID3 = np.arange(1.0, 10.0).reshape(3, 3)
 
@@ -262,9 +265,7 @@ def test_transform_filter_examples():
 
 
 def test_filter_transform_entry_equals_the_inverse_elements_resampling():
-    # rotations and nearest reflections give the same bits; a bilinear
-    # reflection is the row flip on the grid, then a rotation, so it may
-    # round differently from the one composed map
+    # every element, reflections and both modes alike, gives the same bits
     rng = np.random.default_rng(15)
     for n in range(1, 17):
         for spec in (cyclic_group(n), dihedral_group(n)):
@@ -274,11 +275,25 @@ def test_filter_transform_entry_equals_the_inverse_elements_resampling():
                     stack = filter_transform(f, spec, mode)
                     for g in spec.elements():
                         want = sample_plane(f, coordinate_table(g.spec)[g.index], mode)
-                        got = stack[g.inverse().index]
-                        if g.i0 and mode == "bilinear":
-                            assert_allclose(got, want, rtol=0, atol=1e-14)
-                        else:
-                            assert got.tobytes() == want.tobytes(), (spec.name, size, mode, g)
+                        assert stack[g.inverse().index].tobytes() == want.tobytes(), (spec.name, size, mode, g)
+
+
+def test_filter_transform_steers_bit_for_bit_at_every_exact_element():
+    # copy h moved by an exact g is copy g^-1 * h: the copies are the table's
+    # own action, so they compose wherever the table permutes the grid
+    rng = np.random.default_rng(17)
+    cases = 0
+    for n in range(1, 25):
+        for spec in (cyclic_group(n), dihedral_group(n)):
+            elements = spec.elements()
+            for size, mode in itertools.product((1, 3, 5, 9, 15), ("bilinear", "nearest")):
+                stack = filter_transform(rng.uniform(-1.0, 1.0, (size, size)), spec, mode)
+                for g in sorted(exact_indices(spec, size, mode)):
+                    moved = sample_plane(stack, coordinate_table(spec)[g], mode)
+                    want = stack[product_indices(spec, elements[g].inverse().index, np.arange(spec.order))]
+                    assert moved.tobytes() == want.tobytes(), (spec.name, size, mode, elements[g])
+                    cases += 1
+    assert cases == 2976
 
 
 def test_transform_filter_action_property():
@@ -481,22 +496,33 @@ def test_sample_plane_rejects_non_square_maps():
         sample_plane(GRID3, np.ones(4), "bilinear")
 
 
+@pytest.mark.parametrize("mode", ("bilinear", "nearest"))
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_sample_plane_rejects_non_finite_maps(mode, bad):
+    quarter = coordinate_table(cyclic_group(4))[1]
+    # one map, a cached stack with one bad map, and a stack too large to cache
+    single = [[bad, 0.0], [0.0, 1.0]]
+    for maps in (single, [quarter, np.diag([1.0, bad])], [quarter] * 300 + [np.full((2, 2), bad)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                with pytest.raises(ValueError, match="coordinate maps must be finite"):
+                    sample_plane(np.ones((3, 3)), maps, mode)
+
+
 def _check_filter_transform_against_reference(base, spec, mode):
-    """Each half of the filter transform, bit for bit: the base (upper) or its
-    row flip (lower), then one per-pixel reference resampling per rotation."""
-    n = spec.rotation_order
+    """Every entry of the filter transform, bit for bit: entry g is the
+    per-pixel reference resampling of the base through the map of g^-1."""
     entries = filter_transform(base, spec, mode)
-    assert entries.shape == (len(spec.elements()),) + base.shape
-    for half, flipped in enumerate([base, base[::-1]][: spec.reflection_order]):
-        assert entries[half * n].tobytes() == flipped.tobytes()
-        for m in range(1, n):
-            want = _reference_sample_plane(flipped, _rotation_map(*rotation_cos_sin(m, n)), mode)
-            assert entries[half * n + m].tobytes() == want.tobytes(), (spec.name, half, m)
+    assert entries.shape == (spec.order,) + base.shape
+    for g in spec.elements():
+        want = _reference_sample_plane(base, _coordinate_formula(g.inverse()), mode)
+        assert entries[g.index].tobytes() == want.tobytes(), (spec.name, g)
 
 
 @pytest.mark.parametrize("mode", ("bilinear", "nearest"))
 @pytest.mark.parametrize("size", (1, 3, 5, 9))
-def test_rotation_stack_matches_per_rotation_reference(mode, size):
+def test_filter_transform_matches_per_element_reference(mode, size):
     base = np.random.default_rng(size).uniform(-1.0, 1.0, (size, size))
     base[0, 0] = -0.0
     for n in (1, 2, 3, 4, 6, 8, 12, 16, 24):
@@ -512,7 +538,7 @@ def test_rotation_stack_matches_per_rotation_reference(mode, size):
     mode=st.sampled_from(["bilinear", "nearest"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_filter_transform_matches_per_rotation_reference_for_any_n_and_size(n, size, dihedral, mode, seed):
+def test_filter_transform_matches_per_element_reference_for_any_n_and_size(n, size, dihedral, mode, seed):
     rng = np.random.default_rng(seed)
     base = rng.uniform(-1.0, 1.0, (size, size))
     base.flat[rng.integers(base.size)] = -0.0

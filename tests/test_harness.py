@@ -245,6 +245,21 @@ def test_derived_exactness_equals_the_hand_rule_outside_eighth_turns_of_c16_c32(
     assert cells == 1024
 
 
+def test_signed_permutation_maps_are_always_in_the_derived_exact_set():
+    # a lower bound that does not come from the derivation: a map with entries
+    # in {-1, 0, 1} (a quarter turn, an axis reflection) permutes every odd grid
+    cases = 0
+    for n in range(1, 25):
+        for spec in (cyclic_group(n), dihedral_group(n)):
+            table = coordinate_table(spec)
+            signed = set(np.flatnonzero(np.isin(table, (-1.0, 0.0, 1.0)).all(axis=(1, 2))).tolist())
+            for size in (1, 3, 5, 9, 15):
+                for mode in ("bilinear", "nearest"):
+                    assert signed <= exact_indices(spec, size, mode), (spec.name, size, mode)
+                    cases += 1
+    assert cases == 480
+
+
 def test_exact_indices_is_cached_and_frozen():
     got = exact_indices(dihedral_group(8), 5, "bilinear")
     assert isinstance(got, frozenset)
@@ -345,6 +360,20 @@ def test_run_suite_exactness():
         assert r.exact_subgroup_max <= 1e-10
         assert r.exact_subgroup_max <= r.full_group_max + 1e-15
         assert len(r.per_element) == r.group.order
+
+
+def test_run_suite_filter_transform_families_are_exact_zero():
+    # triv2reg, the j0 k0 irrep and orn kernels are the filter transform's own
+    # copies, which compose bit for bit at every exact element
+    groups = [dihedral_group(3), dihedral_group(5), dihedral_group(6), cyclic_group(6), dihedral_group(12)]
+    reports = run_suite(groups, [3, 5], ["bilinear", "nearest"], 1)
+    assert len(reports) == 376
+    checked = 0
+    for r in reports:
+        if r.kernel_kind.removeprefix("rev:") in ("triv2reg", "irrep2reg:j0:k0", "orn"):
+            assert r.exact_subgroup_max == 0.0, (r.kernel_kind, r.group.name, r.size, r.mode)
+            checked += 1
+    assert checked == 88
 
 
 def test_run_suite_nearest_eighth_turns():
