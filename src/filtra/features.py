@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .filters import check_mode, coordinate_table, sample_plane
-from .groups import GroupElement, GroupSpec
+from .filters import coordinate_table, sample_plane
+from .groups import GroupElement, GroupSpec, inverse_indices
 from .kernels import SteerableKernel
 from .representations import RepSpec, trivial_rep
 
@@ -151,12 +151,11 @@ def act_on_feature_stack(
     every kind of representation.  Each copy equals `act_on_feature(g, f,
     mode)` bit for bit.
     """
-    check_mode(mode)
     for g in elements:
         if g.spec != f.group:
             raise ValueError(f"element of {g.spec.name} acting on a {f.group.name} feature")
     n, m, d = len(elements), f.multiplicity, f.rep.dim
-    maps = coordinate_table(f.group)[[g.inverse().index for g in elements]]
+    maps = coordinate_table(f.group)[inverse_indices(f.group, [g.index for g in elements])]
     # (C, n, H, W) from the gather; each copy's blocks made contiguous
     moved = sample_plane(f.data, maps, mode).swapaxes(0, 1)
     moved = np.ascontiguousarray(moved).reshape(n, m, d, f.height * f.width)

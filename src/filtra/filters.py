@@ -46,9 +46,10 @@ import math
 
 import numpy as np
 
-from .groups import TAU, GroupSpec, product_indices
+from .groups import GroupSpec, inverse_indices, product_indices
 
 MODES = ("bilinear", "nearest")
+TAU = 2.0 * math.pi
 
 
 def check_mode(mode: str) -> str:
@@ -272,6 +273,4 @@ def filter_transform(base: np.ndarray, spec: GroupSpec, mode: str) -> np.ndarray
     counter-clockwise by m/N of a turn; on D_N, copy N + m is the row flip
     of f (the reflection about the x-axis) turned the same way."""
     base = check_filter_grid(base)
-    n, k = spec.rotation_order, np.arange(spec.order)
-    # a reflection is its own inverse; rotation i1 inverts to -i1 mod N
-    return sample_plane(base, coordinate_table(spec), mode)[np.where(k < n, -k % n, k)]
+    return sample_plane(base, coordinate_table(spec), mode)[inverse_indices(spec, np.arange(spec.order))]

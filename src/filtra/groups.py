@@ -1,28 +1,24 @@
-"""Elements of the reflection, cyclic and dihedral groups and their planar action.
+"""Elements of the reflection, cyclic and dihedral groups and their group law.
 
 An element is a pair (i0, i1): i0 indexes the reflection component, i1 the
 rotation component; its `index` i0*N + i1 is its row in the per-group
-element tables.  The rotation index i1 corresponds to the angle
-2*pi*i1/N, and a group element acts on a planar angle phi as
-(-1)**i0 * phi + 2*pi*i1/N.
+element tables.  Its action on the plane is its row of `table =
+filters.coordinate_table(spec)`, and `table[(h * g).index]` equals
+`table[h.index] @ table[g.index]` up to rounding.
 
-`product_indices(spec, left, right)` evaluates the group law on arrays of
-element indices, so the regular representations and the grid-exactness
-test compute only the products they read; `GroupElement.compose` stays a
-scalar rule.
+`product_indices` and `inverse_indices` evaluate the group law and the
+inverse on arrays of element indices, computing only the entries a caller
+reads; `GroupElement.compose` stays the scalar rule.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-TAU = 2.0 * math.pi
-
-_GROUP_NAME = re.compile(r"^([cd])(\d+)$")
+_GROUP_NAME = re.compile(r"^([cd])([0-9]+)$")
 
 
 @dataclass(frozen=True)
@@ -101,13 +97,8 @@ class GroupElement:
         in the per-group element tables."""
         return self.i0 * self.spec.rotation_order + self.i1
 
-    @property
-    def angle(self) -> float:
-        """Rotation angle 2*pi*i1/N in radians."""
-        return TAU * self.i1 / self.spec.rotation_order
-
     def compose(self, other: GroupElement) -> GroupElement:
-        """Group product self * other (apply `other` first under the angle action)."""
+        """Group product self * other, `other` acting first on the plane."""
         if other.spec != self.spec:
             raise ValueError(f"cannot compose elements of {self.spec.name} and {other.spec.name}")
         n = self.spec.rotation_order
@@ -120,16 +111,7 @@ class GroupElement:
         return self.compose(other)
 
     def inverse(self) -> GroupElement:
-        n = self.spec.rotation_order
-        if self.i0:
-            return self  # reflections are involutions
-        return GroupElement(0, (n - self.i1) % n, self.spec)
-
-    def angle_action(self, phi: float) -> float:
-        """Image of the planar angle phi: (-1)**i0 * phi + 2*pi*i1/N, not
-        reduced mod 2*pi."""
-        sign = -1.0 if self.i0 else 1.0
-        return sign * phi + self.angle
+        return self.spec.element(*divmod(int(inverse_indices(self.spec, self.index)), self.spec.rotation_order))
 
     def __repr__(self) -> str:
         return f"({self.i0},{self.i1})@{self.spec.name}"
@@ -142,3 +124,10 @@ def product_indices(spec: GroupSpec, left: int | np.ndarray, right: int | np.nda
     h0, h1 = np.divmod(np.asarray(left, dtype=np.intp), n)
     g0, g1 = np.divmod(np.asarray(right, dtype=np.intp), n)
     return (h0 ^ g0) * n + (h1 + np.where(h0, -g1, g1)) % n
+
+
+def inverse_indices(spec: GroupSpec, indices: int | np.ndarray) -> np.ndarray:
+    """The indices g^-1.index for element indices g = `indices`: a reflection
+    is its own inverse, and rotation i1 inverts to -i1 mod N."""
+    n, indices = spec.rotation_order, np.asarray(indices, dtype=np.intp)
+    return np.where(indices < n, -indices % n, indices)

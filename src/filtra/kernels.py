@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import check_filter_grid, check_mode, filter_transform
+from .filters import check_filter_grid, filter_transform
 from .groups import GroupSpec, cyclic_group, dihedral_group
 from .representations import RepSpec, group_dct_basis, irrep, regular_rep, trivial_rep
 
@@ -95,7 +95,6 @@ def steerable_kernel(
     sizes = {check_filter_grid(b).shape[0] for b in bases}
     if len(sizes) != 1:
         raise ValueError(f"base filters must share one size, got sides {sorted(sizes)}")
-    check_mode(mode)
     # a generator: each stack is freed once its block is scaled
     grids = assemble_grids(rep_in, (filter_transform(b, spec, mode) for b in bases))
     return SteerableKernel(spec, rep_in, regular_rep(spec), grids, mode)
@@ -154,6 +153,10 @@ def capacity_report(n: int, size: int, kind: str) -> CapacityReport:
     kernel of the given construction."""
     if kind not in CAPACITY_KINDS:
         raise ValueError(f"unknown capacity kind {kind!r}: expected one of {CAPACITY_KINDS}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if size < 1 or size % 2 == 0:
+        raise ValueError(f"size must be a positive odd integer, got {size}")
     stored = n * n * size * size
     independent = (n // 2 + 1) * size * size if kind == "reg2reg" else size * size
     return CapacityReport(kind, independent, stored)

@@ -10,9 +10,10 @@ computed for g's row alone by `groups.product_indices`.
 
 Each irrep is one read-only (|G|, d, d) table, d <= 2, built once per group
 by `irrep_table` from `filters.coordinate_table`, so the irreps, the DCT
-columns and the resampling share one set of exact turns; `irrep_matrix(g, j,
-k)` is its row `g.index`.  Regular matrices are |G| x |G| each, so they are
-built and cached per element instead: a table of them would hold |G|**3 values.
+columns and the resampling share one set of exact turns; an irrep at g is its
+table's row `g.index`, and for N >= 3 the (0, 1) table is `coordinate_table`.
+Regular matrices are |G| x |G| each, so they are built and cached per element
+instead: a table of them would hold |G|**3 values.
 """
 
 from __future__ import annotations
@@ -70,17 +71,6 @@ def _check_frequencies(spec: GroupSpec, j: int, k: int) -> None:
         raise ValueError(f"rotation frequency k={k} out of range 0..{spec.rotation_order // 2}")
 
 
-def irrep_matrix(g: GroupElement, j: int, k: int) -> np.ndarray:
-    """Irrep with reflection frequency j and rotation frequency k, evaluated at g.
-
-    The two-dimensional case is the rotation by the turn k*i1/N followed by
-    diag(1, -1) when g reflects, scaled by (-1)**(j*i0).  The one-dimensional
-    cases are k = 0 and, for even N, k = N/2 where the rotation part is
-    (-1)**i1.  A read-only row of `irrep_table`.
-    """
-    return irrep_table(g.spec, j, k)[g.index]
-
-
 # a D_N has at most N + 2 irreps (j in {0, 1}, k in 0..N/2): room for every irrep of
 # a D_128 and then some, each table |G| matrices of at most 2 x 2
 @functools.lru_cache(maxsize=256)
@@ -126,7 +116,7 @@ class RepSpec:
         if self.kind == "trivial":
             return np.ones((1, 1))
         if self.kind == "irrep":
-            return irrep_matrix(g, self.j, self.k)
+            return irrep_table(g.spec, self.j, self.k)[g.index]
         return regular_rep_matrix(g)
 
     def label(self) -> str:
@@ -152,11 +142,8 @@ def frequency_columns(n: int, k: int) -> np.ndarray:
 
     k = 0 gives the all-ones column; k = N/2 (N even) the alternating-sign
     column; otherwise an N x 2 matrix with rows [cos(k*theta_i), sin(k*theta_i)].
+    `cyclic_group` rejects an n < 1 and `irrep_table` a k outside 0..N/2.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= k <= n // 2:
-        raise ValueError(f"rotation frequency k={k} out of range 0..{n // 2}")
     return irrep_table(cyclic_group(n), 0, k)[:, :, 0].copy()
 
 
@@ -205,7 +192,7 @@ def decompose_regular(g: GroupElement) -> tuple[DctBasis, np.ndarray]:
     """Basis and block-diagonal irrep direct sum D with
     regular_rep_matrix(g) == basis @ D @ basis.inverse()."""
     basis = group_dct_basis(g.spec)
-    d = _block_diag([irrep_matrix(g, j, k) for (j, k, _) in basis.blocks])
+    d = _block_diag([irrep_table(g.spec, j, k)[g.index] for (j, k, _) in basis.blocks])
     return basis, d
 
 
@@ -221,8 +208,8 @@ def intertwiner_residual(k: int, g: GroupElement) -> float:
     b = frequency_columns(n, k).T  # dim(k) x N
     if g.i0 == 0:
         r = cyclic_group(n).element(0, g.i1)
-        return float(np.abs(irrep_matrix(r, 0, k) @ b - b @ regular_rep_matrix(r)).max())
+        return float(np.abs(irrep_table(r.spec, 0, k)[r.index] @ b - b @ regular_rep_matrix(r)).max())
     refl = regular_rep_matrix(g)[:n, n:]
-    r0 = np.abs(irrep_matrix(g, 0, k) @ b - b @ refl).max()
-    r1 = np.abs(irrep_matrix(g, 1, k) @ b + b @ refl).max()
+    r0 = np.abs(irrep_table(g.spec, 0, k)[g.index] @ b - b @ refl).max()
+    r1 = np.abs(irrep_table(g.spec, 1, k)[g.index] @ b + b @ refl).max()
     return float(max(r0, r1))

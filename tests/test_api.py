@@ -125,28 +125,47 @@ def test_every_module_constant_is_read_in_src():
     assert sorted(constants - reads) == []
 
 
-def _trig_call_sites(node: ast.AST, where: str) -> list[str]:
-    """The dotted enclosing def or class of every call to a function named
-    cos or sin (`math.cos`, `np.sin`, a bare `cos`) under node."""
+def _sites(node: ast.AST, where: str, hit) -> list[str]:
+    """The dotted enclosing def, class or module-level assignment of every
+    node under node for which hit(node) is true."""
     sites = []
     for child in ast.iter_child_nodes(node):
         here = where
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             here = f"{where}.{child.name}"
-        if isinstance(child, ast.Call):
-            func = child.func
-            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in ("cos", "sin"):
-                sites.append(here)
-        sites += _trig_call_sites(child, here)
+        elif isinstance(node, ast.Module) and isinstance(child, ast.Assign):
+            here = f"{where}.{'='.join(ast.unparse(target) for target in child.targets)}"
+        if hit(child):
+            sites.append(here)
+        sites += _sites(child, here, hit)
     return sites
+
+
+def _name(node: ast.AST) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _src_sites(hit) -> set[str]:
+    src = Path(filtra.__file__).resolve().parent
+    return {site for path in sorted(src.glob("*.py")) for site in _sites(ast.parse(path.read_text()), path.stem, hit)}
 
 
 def test_cos_and_sin_are_called_only_in_rotation_cos_sin():
     """Every cos/sin in src/filtra is taken by `filters.rotation_cos_sin` on an
-    exact turn: the coordinate maps, the irreps and the DCT columns read its
-    values, so no float-angle path can differ from them in the last bits."""
-    src = Path(filtra.__file__).resolve().parent
-    sites = []
-    for path in sorted(src.glob("*.py")):
-        sites += _trig_call_sites(ast.parse(path.read_text()), path.stem)
-    assert sites and set(sites) == {"filters.rotation_cos_sin"}, sites
+    exact turn, and so is every read of the full turn `TAU`, whose
+    assignment alone reads pi or tau: the coordinate maps, the irreps and
+    the DCT columns read its values, so no float-angle path can differ from
+    them in the last bits."""
+
+    def reads(*names):
+        def hit(node):
+            return isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load) and _name(node) in names
+
+        return hit
+
+    def calls(node):
+        return isinstance(node, ast.Call) and _name(node.func) in ("cos", "sin")
+
+    assert _src_sites(calls) == {"filters.rotation_cos_sin"}
+    assert _src_sites(reads("TAU")) == {"filters.rotation_cos_sin"}
+    assert _src_sites(reads("pi", "tau")) == {"filters.TAU"}

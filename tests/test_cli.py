@@ -196,12 +196,14 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
         (["gen", "--group", "c4", "--kind", "triv2reg", "--out", ""], "--out: empty path; name the output directory"),
         (["demo", "--group", "c8", "--out", ""], "--out: empty path; name the output directory"),
         (["verify", "--group", "c4", "--report", ""], "--report: [Errno 2] No such file or directory: ''"),
+        # an Arabic-Indic digit three, which `int` reads as 3
+        (["verify", "--group", "c\u0663", "--size", "3"], "bad group name 'c\u0663': expected c<N> or d<N>"),
     ],
     ids=["gen-k", "gen-j", "gen-cyclic-j", "gen-base-count", "verify-mode", "demo-k", "demo-j",
          "gen-triv2reg-j-k", "gen-triv2reg-j", "gen-reg2reg-k", "gen-orn-k", "gen-orn-dihedral-j",
          "gen-orn-dihedral", "gen-out-file", "demo-image-missing", "verify-report-dir", "verify-report-no-parent",
          "gen-base-missing", "capacity-dihedral", "demo-out-file", "gen-base-not-utf8", "demo-image-not-utf8",
-         "gen-out-empty", "demo-out-empty", "verify-report-empty"],
+         "gen-out-empty", "demo-out-empty", "verify-report-empty", "verify-group-non-ascii-digit"],
 )
 def test_parameter_errors_name_the_option(argv, message, base_csv, tmp_path, capsys, monkeypatch):
     latin1 = tmp_path / "latin1.csv"

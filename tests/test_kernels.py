@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from filtra.groups import TAU, cyclic_group, dihedral_group
+from filtra.filters import TAU
+from filtra.groups import cyclic_group, dihedral_group
 from filtra.harness import check_kernel_equivariance
 from filtra.kernels import (
     capacity_report,
@@ -183,3 +184,13 @@ def test_capacity_report():
     assert orn_rep.stored_filter_scalars == 1600
     with pytest.raises(ValueError):
         capacity_report(8, 5, "other")
+
+
+@pytest.mark.parametrize(
+    "n, size, kind, name",
+    [(-4, 3, "reg2reg", "n"), (0, 3, "orn", "n"), (4, 4, "orn", "size"), (8, -5, "orn", "size"), (8, 0, "reg2reg", "size")],
+)
+def test_capacity_report_rejects_kernels_that_cannot_exist(n, size, kind, name):
+    # no kernel has a group of order below 1 or an even or non-positive side
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        capacity_report(n, size, kind)

@@ -15,7 +15,6 @@ from filtra.representations import (
     group_dct_basis,
     intertwiner_residual,
     irrep,
-    irrep_matrix,
     irrep_table,
     regular_rep,
     regular_rep_matrix,
@@ -108,10 +107,10 @@ def test_regular_rep_columns_are_one_hot_at_the_composed_index(n):
 
 
 def test_irrep_examples():
-    assert_array_equal(irrep_matrix(cyclic_group(8).identity(), 0, 1), np.eye(2))
-    got = irrep_matrix(cyclic_group(4).element(0, 1), 0, 1)
+    assert_array_equal(irrep(cyclic_group(8), 0, 1).matrix(cyclic_group(8).identity()), np.eye(2))
+    got = irrep(cyclic_group(4), 0, 1).matrix(cyclic_group(4).element(0, 1))
     assert_allclose(got, [[0, -1], [1, 0]], atol=1e-15)
-    got = irrep_matrix(dihedral_group(4).element(1, 0), 1, 1)
+    got = irrep(dihedral_group(4), 1, 1).matrix(dihedral_group(4).element(1, 0))
     assert_allclose(got, [[-1, 0], [0, 1]], atol=1e-15)
 
 
@@ -122,14 +121,14 @@ def test_irrep_frequency_semantics():
         for k in range(1, (n - 1) // 2 + 1):
             a = 2 * np.pi * k / n
             expected = [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]
-            assert_allclose(irrep_matrix(g, 0, k), expected, atol=1e-12)
+            assert_allclose(irrep(g.spec, 0, k).matrix(g), expected, atol=1e-12)
 
 
 def test_irrep_validation():
     with pytest.raises(ValueError):
-        irrep_matrix(cyclic_group(4).element(0, 1), 1, 1)  # j=1 needs reflections
+        irrep(cyclic_group(4), 1, 1).matrix(cyclic_group(4).element(0, 1))  # j=1 needs reflections
     with pytest.raises(ValueError):
-        irrep_matrix(cyclic_group(4).element(0, 1), 0, 3)  # k out of range
+        irrep(cyclic_group(4), 0, 3).matrix(cyclic_group(4).element(0, 1))  # k out of range
     with pytest.raises(ValueError):
         irrep(cyclic_group(4), 0, 5)
 
@@ -291,7 +290,7 @@ def test_irreps_and_intertwiners_are_exact_at_quarter_turns():
             if g.i1 % (n // 4) == 0:
                 for k in range(n // 2 + 1):
                     for j in (0, 1):
-                        assert set(np.abs(irrep_matrix(g, j, k)).ravel()) <= {0.0, 1.0}, (g, j, k)
+                        assert set(np.abs(irrep(g.spec, j, k).matrix(g)).ravel()) <= {0.0, 1.0}, (g, j, k)
                     assert intertwiner_residual(k, g) == 0.0, (g, k)
 
 
@@ -337,7 +336,7 @@ def test_irrep_table_rows_equal_the_formula():
                     assert table.shape[0] == spec.order
                     for g in spec.elements():
                         want = _irrep_formula(g, j, k).tobytes()
-                        assert irrep_matrix(g, j, k).tobytes() == want, (g, j, k)
+                        assert irrep(g.spec, j, k).matrix(g).tobytes() == want, (g, j, k)
                         assert table[g.index].tobytes() == want, (g, j, k)
 
 
@@ -347,7 +346,7 @@ def test_irrep_tables_are_read_only_and_built_once_per_group():
     irreps = [(j, k) for j in (0, 1) for k in range(4)]
     for j, k in irreps:
         for g in d6.elements():
-            matrix = irrep_matrix(g, j, k)
+            matrix = irrep(g.spec, j, k).matrix(g)
             with pytest.raises(ValueError, match="read-only"):
                 matrix[0, 0] = 2.0
         assert not irrep_table(d6, j, k).flags.writeable
