@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import re
 import sys
 from pathlib import Path
 
@@ -60,11 +61,18 @@ def _comma_list(text: str) -> list[str]:
     return [item for item in (part.strip() for part in text.split(",")) if item]
 
 
-def _odd_size(value: str | int) -> int:
+def _integer(text: str) -> int:
+    """An integer in ASCII digits: `int` also reads other scripts' digits, `_` and spaces."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
+def _odd_size(value: str) -> int:
     """A filter side length given to --size."""
     try:
-        size = int(value)
-    except ValueError:
+        size = _integer(value)
+    except argparse.ArgumentTypeError:
         size = 0
     if size < 1 or size % 2 == 0:
         raise ValueError(f"--size must be a positive odd integer, got {value}")
@@ -74,8 +82,8 @@ def _odd_size(value: str | int) -> int:
 def _element_index(value: str) -> int:
     """One index of the i0,i1 pair given to --element."""
     try:
-        return int(value)
-    except ValueError:
+        return _integer(value)
+    except argparse.ArgumentTypeError:
         raise ValueError(f"--element expects two integers i0,i1, got {value!r}") from None
 
 
@@ -97,15 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--group", required=True, help="comma-separated groups, e.g. c8,d4")
     p_verify.add_argument("--size", default="3", help="comma-separated odd filter sizes")
     p_verify.add_argument("--mode", default="bilinear", help="comma-separated interpolation modes")
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--seed", type=_integer, default=42)
     p_verify.add_argument("--report", help="write per-element residuals to this CSV file")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="build a steerable kernel and write its grids")
     p_gen.add_argument("--group", required=True)
     p_gen.add_argument("--kind", required=True, choices=GEN_KINDS)
-    p_gen.add_argument("--j", type=int, default=None, help="reflection frequency (irrep2reg)")
-    p_gen.add_argument("--k", type=int, default=None, help="rotation frequency (irrep2reg)")
+    p_gen.add_argument("--j", type=_integer, default=None, help="reflection frequency (irrep2reg)")
+    p_gen.add_argument("--k", type=_integer, default=None, help="rotation frequency (irrep2reg)")
     p_gen.add_argument("--base", required=True, help="comma-separated base filter CSV files")
     p_gen.add_argument("--mode", default="bilinear", choices=MODES)
     p_gen.add_argument("--out", required=True, help="output directory")
@@ -120,14 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cap = sub.add_parser("capacity", help="print weight-capacity accounting as CSV")
     p_cap.add_argument("--group", required=True, help="cyclic group, e.g. c8")
-    p_cap.add_argument("--size", type=int, required=True, help="filter side length S")
+    p_cap.add_argument("--size", required=True, help="filter side length S")
     p_cap.set_defaults(func=cmd_capacity)
 
     p_demo = sub.add_parser("demo", help="dump filter-transform kernels of one image patch as PGM")
     p_demo.add_argument("--image", required=True, help="base filter CSV file")
     p_demo.add_argument("--group", required=True, help="sets N, e.g. c8 or d8")
-    p_demo.add_argument("--j", type=int, default=1)
-    p_demo.add_argument("--k", type=int, default=1)
+    p_demo.add_argument("--j", type=_integer, default=1)
+    p_demo.add_argument("--k", type=_integer, default=1)
     p_demo.add_argument("--mode", default="bilinear", choices=MODES)
     p_demo.add_argument("--out", required=True)
     p_demo.set_defaults(func=cmd_demo)

@@ -44,7 +44,7 @@ def _read_lines(path: str | Path) -> tuple[list[str], int]:
 def _int_field(where: str, key: str, text: str) -> int:
     """A positive integer header field; `where` names the file and line."""
     try:
-        value = int(text)
+        value = int(text) if text.isascii() and "_" not in text else 0
     except ValueError:
         value = 0
     if value < 1:
@@ -61,6 +61,9 @@ def _value_rows(path: str | Path, lines: list[str], first: int, width: int) -> l
         if len(items) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} values, got {len(items)}")
         try:
+            # `float`, like `int`, also reads other scripts' digits and `_` separators
+            if not line.isascii() or "_" in line:
+                raise ValueError(line)
             row = [float(v) for v in items]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: values must be numbers, got {line!r}") from None

@@ -12,6 +12,7 @@ Each irrep is one read-only (|G|, d, d) table, d <= 2, built once per group
 by `irrep_table` from `filters.coordinate_table`, so the irreps, the DCT
 columns and the resampling share one set of exact turns; an irrep at g is its
 table's row `g.index`, and for N >= 3 the (0, 1) table is `coordinate_table`.
+The trivial representation is the (0, 0) irrep, whose rows are exactly 1.
 Regular matrices are |G| x |G| each, so they are built and cached per element
 instead: a table of them would hold |G|**3 values.
 """
@@ -40,18 +41,6 @@ def regular_rep_matrix(g: GroupElement) -> np.ndarray:
     columns = np.arange(order)
     out[product_indices(g.spec, g.index, columns), columns] = 1.0
     out.setflags(write=False)
-    return out
-
-
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    """Square blocks placed in order along the diagonal of one zero matrix."""
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size))
-    start = 0
-    for b in blocks:
-        stop = start + b.shape[0]
-        out[start:stop, start:stop] = b
-        start = stop
     return out
 
 
@@ -89,7 +78,8 @@ def irrep_table(spec: GroupSpec, j: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RepSpec:
-    """Tag for a trivial, irreducible or regular representation of a group."""
+    """Tag for a trivial, irreducible or regular representation of a group;
+    only an irrep takes frequencies (j, k), and trivial reads those of (0, 0)."""
 
     kind: str  # "trivial" | "irrep" | "regular"
     spec: GroupSpec
@@ -99,25 +89,20 @@ class RepSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("trivial", "irrep", "regular"):
             raise ValueError(f"unknown representation kind {self.kind!r}")
-        if self.kind == "irrep":
-            _check_frequencies(self.spec, self.j, self.k)
+        if self.kind != "irrep" and (self.j, self.k) != (0, 0):
+            raise ValueError(f"a {self.kind} representation has no frequencies: got j={self.j}, k={self.k}")
+        _check_frequencies(self.spec, self.j, self.k)
 
     @property
     def dim(self) -> int:
-        if self.kind == "trivial":
-            return 1
-        if self.kind == "irrep":
-            return irrep_dim(self.spec, self.k)
-        return self.spec.order
+        return self.spec.order if self.kind == "regular" else irrep_dim(self.spec, self.k)
 
     def matrix(self, g: GroupElement) -> np.ndarray:
         if g.spec != self.spec:
             raise ValueError(f"element of {g.spec.name} fed to a {self.spec.name} representation")
-        if self.kind == "trivial":
-            return np.ones((1, 1))
-        if self.kind == "irrep":
-            return irrep_table(g.spec, self.j, self.k)[g.index]
-        return regular_rep_matrix(g)
+        if self.kind == "regular":
+            return regular_rep_matrix(g)
+        return irrep_table(g.spec, self.j, self.k)[g.index]
 
     def label(self) -> str:
         if self.kind == "irrep":
@@ -190,26 +175,24 @@ def group_dct_basis(spec: GroupSpec) -> DctBasis:
 
 def decompose_regular(g: GroupElement) -> tuple[DctBasis, np.ndarray]:
     """Basis and block-diagonal irrep direct sum D with
-    regular_rep_matrix(g) == basis @ D @ basis.inverse()."""
+    regular_rep_matrix(g) == basis @ D @ basis.inverse(): the (j, k) irrep at g
+    fills D at the basis's own column slice for (j, k), rows and columns."""
     basis = group_dct_basis(g.spec)
-    d = _block_diag([irrep_table(g.spec, j, k)[g.index] for (j, k, _) in basis.blocks])
+    d = np.zeros(basis.matrix.shape)
+    for j, k, cols in basis.blocks:
+        d[cols, cols] = irrep_table(g.spec, j, k)[g.index]
     return basis, d
 
 
 def intertwiner_residual(k: int, g: GroupElement) -> float:
-    """Largest deviation of the frequency columns from intertwining the
-    regular action with the frequency-k irrep action.
-
-    For rotations this checks irrep(g) @ b.T == b.T @ P(i1), P(i1) the C_N
-    regular matrix; for reflected elements both sign variants against B(i1),
-    the [:N, N:] block of the D_N regular matrix, N that of g's group.
-    """
-    n = g.spec.rotation_order
+    """Largest deviation of the frequency columns b from intertwining the
+    regular action with the frequency-k irreps, over each j of g's group:
+    one rule, irrep(j, k)(g) @ b.T == (-1)**(j*i0) * b.T @ B, where B is g's
+    column block [:N, i0*N:(i0+1)*N] of its group's regular matrix."""
+    n, i0 = g.spec.rotation_order, g.i0
     b = frequency_columns(n, k).T  # dim(k) x N
-    if g.i0 == 0:
-        r = cyclic_group(n).element(0, g.i1)
-        return float(np.abs(irrep_table(r.spec, 0, k)[r.index] @ b - b @ regular_rep_matrix(r)).max())
-    refl = regular_rep_matrix(g)[:n, n:]
-    r0 = np.abs(irrep_table(g.spec, 0, k)[g.index] @ b - b @ refl).max()
-    r1 = np.abs(irrep_table(g.spec, 1, k)[g.index] @ b + b @ refl).max()
-    return float(max(r0, r1))
+    moved = b @ regular_rep_matrix(g)[:n, i0 * n : (i0 + 1) * n]
+    return float(max(
+        np.abs(irrep_table(g.spec, j, k)[g.index] @ b - (-1) ** (j * i0) * moved).max()
+        for j in range(g.spec.reflection_order)
+    ))

@@ -198,12 +198,18 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
         (["verify", "--group", "c4", "--report", ""], "--report: [Errno 2] No such file or directory: ''"),
         # an Arabic-Indic digit three, which `int` reads as 3
         (["verify", "--group", "c\u0663", "--size", "3"], "bad group name 'c\u0663': expected c<N> or d<N>"),
+        # integers take ASCII digits only: `int` reads these as 3, 15 and 0 and 1
+        (["capacity", "--group", "c8", "--size", "\u0663"], "--size must be a positive odd integer, got \u0663"),
+        (["verify", "--group", "c4", "--size", "1_5"], "--size must be a positive odd integer, got 1_5"),
+        (["decompose", "--group", "c4", "--element", "\u0660,\u0661"],
+         "--element expects two integers i0,i1, got '\u0660'"),
     ],
     ids=["gen-k", "gen-j", "gen-cyclic-j", "gen-base-count", "verify-mode", "demo-k", "demo-j",
          "gen-triv2reg-j-k", "gen-triv2reg-j", "gen-reg2reg-k", "gen-orn-k", "gen-orn-dihedral-j",
          "gen-orn-dihedral", "gen-out-file", "demo-image-missing", "verify-report-dir", "verify-report-no-parent",
          "gen-base-missing", "capacity-dihedral", "demo-out-file", "gen-base-not-utf8", "demo-image-not-utf8",
-         "gen-out-empty", "demo-out-empty", "verify-report-empty", "verify-group-non-ascii-digit"],
+         "gen-out-empty", "demo-out-empty", "verify-report-empty", "verify-group-non-ascii-digit",
+         "capacity-size-non-ascii-digit", "verify-size-underscore", "decompose-element-non-ascii-digits"],
 )
 def test_parameter_errors_name_the_option(argv, message, base_csv, tmp_path, capsys, monkeypatch):
     latin1 = tmp_path / "latin1.csv"
@@ -221,6 +227,30 @@ def test_parameter_errors_name_the_option(argv, message, base_csv, tmp_path, cap
     assert captured.out == ""
     assert captured.err == f"filtra: error: {message.format(**paths)}\n"
     assert sorted(tmp_path.rglob("*")) == before  # nothing is written
+
+
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["verify", "--group", "c4", "--seed", "\u0661"], "--seed", "\u0661"),
+        (["verify", "--group", "c4", "--seed", " 1"], "--seed", " 1"),
+        (["gen", "--group", "c4", "--kind", "irrep2reg", "--k", "\u0661", "--base", "{base}", "--out", "{out}"],
+         "--k", "\u0661"),
+        (["gen", "--group", "d4", "--kind", "irrep2reg", "--j", "0_1", "--k", "1", "--base", "{base}", "--out", "{out}"],
+         "--j", "0_1"),
+        (["demo", "--group", "c8", "--k", "+1", "--image", "{base}", "--out", "{out}"], "--k", "+1"),
+    ],
+    ids=["verify-seed-non-ascii-digit", "verify-seed-space", "gen-k-non-ascii-digit", "gen-j-underscore",
+         "demo-k-plus"],
+)
+def test_integer_options_take_ascii_digits_only(argv, option, text, base_csv, tmp_path, capsys):
+    # argparse rejects these before a command runs, so its usage line comes first
+    out = tmp_path / "out"
+    assert main([arg.format(base=base_csv, out=out) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {option}: expected an integer in ASCII digits, got {text!r}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

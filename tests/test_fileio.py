@@ -57,6 +57,14 @@ def test_filter_csv_rejects_bad_header(tmp_path):
     path.write_text("S=3\n1,2,3\n")
     with pytest.raises(ValueError):
         read_filter_csv(path)
+    # `int` reads an Arabic-Indic three and 0_3 as 3: a header takes ASCII digits only
+    for header in ("S=\u0663", "S=0_3", "S=\uff13"):
+        path.write_text(header + "\n1,2,3\n4,5,6\n7,8,9\n")
+        with pytest.raises(ValueError, match="S must be a positive integer"):
+            read_filter_csv(path)
+    # blank space around the header's value and the values stays accepted
+    path.write_text("S= 3\n 1 ,2,3\n4,5,6\t\n7,8, 9\n")
+    assert_array_equal(read_filter_csv(path), np.arange(1.0, 10.0).reshape(3, 3))
 
 
 @pytest.mark.parametrize(
@@ -66,8 +74,13 @@ def test_filter_csv_rejects_bad_header(tmp_path):
         ("S=3\n1,2,3\n4,x,6\n7,8,9\n", 3, "values must be numbers"),
         ("S=abc\n1\n", 1, "S must be a positive integer, got 'abc'"),
         ("\n\nS=1\n1,2\n", 4, "expected 1 values, got 2"),  # leading blank lines count
+        # `int` and `float` read other scripts' digits and `_` separators
+        ("S=\u0663\n1,2,3\n4,5,6\n7,8,9\n", 1, "S must be a positive integer, got '\u0663'"),
+        ("S=1\n1_0\n", 2, "values must be numbers, got '1_0'"),
+        ("S=1\n\u0669\n", 2, "values must be numbers, got '\u0669'"),
     ],
-    ids=["ragged", "non-numeric", "bad-size", "leading-blank-lines"],
+    ids=["ragged", "non-numeric", "bad-size", "leading-blank-lines", "non-ascii-size", "underscore-value",
+         "non-ascii-value"],
 )
 def test_filter_csv_errors_name_file_and_line(tmp_path, text, where, message):
     path = tmp_path / "bad.csv"

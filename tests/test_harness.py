@@ -360,6 +360,10 @@ def test_run_suite_exactness():
         assert r.exact_subgroup_max <= 1e-10
         assert r.exact_subgroup_max <= r.full_group_max + 1e-15
         assert len(r.per_element) == r.group.order
+        # a report keeps its exact set and reads both maxima from its rows
+        assert r.exact == exact_indices(r.group, r.size, r.mode)
+        assert r.full_group_max == max(a for _, a, _ in r.per_element)
+        assert r.exact_subgroup_max == max(a for g, a, _ in r.per_element if g.index in r.exact)
 
 
 def test_run_suite_filter_transform_families_are_exact_zero():

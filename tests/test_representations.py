@@ -296,9 +296,11 @@ def test_irreps_and_intertwiners_are_exact_at_quarter_turns():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_intertwiner_exhaustive(n):
-    for g in dihedral_group(n).elements():
-        for k in range(n // 2 + 1):
-            assert intertwiner_residual(k, g) <= 1e-15
+    # both groups of order n per case: on C_N the rule reads the whole regular matrix, on D_N g's column block
+    for spec in (cyclic_group(n), dihedral_group(n)):
+        for g in spec.elements():
+            for k in range(n // 2 + 1):
+                assert intertwiner_residual(k, g) <= 1e-15, (spec.name, g, k)
 
 
 def test_rep_spec_validation():
@@ -309,6 +311,12 @@ def test_rep_spec_validation():
     rep = regular_rep(cyclic_group(4))
     with pytest.raises(ValueError):
         rep.matrix(dihedral_group(4).identity())
+    # only an irrep takes frequencies: the trivial rep is the (0, 0) irrep, and
+    # a tagged (1, 0) trivial rep would build a kernel on the sign block
+    d4 = dihedral_group(4)
+    for kind, j, k in (("trivial", 1, 0), ("trivial", 0, 7), ("regular", 1, 2)):
+        with pytest.raises(ValueError, match=f"a {kind} representation has no frequencies: got j={j}, k={k}"):
+            RepSpec(kind, d4, j, k)
 
 
 def _irrep_formula(g, j, k):
