@@ -1,7 +1,9 @@
 """Decomposing regular representations with discrete cosine transform bases.
 
-The cyclic basis V stacks sampled cosine/sine columns per rotation frequency;
-the dihedral basis W doubles it as [[V, V], [V, -V]].  Conjugating by the
+Each basis stacks the first columns of its group's irreps over the group.
+The cyclic basis V holds sampled cosine/sine columns per rotation frequency;
+the dihedral irrep (j, k) repeats them on the reflections with the sign
+(-1)**j, so the dihedral basis W is [[V, V], [V, -V]].  Conjugating by the
 basis turns the big permutation matrices into small independent irrep blocks,
 which is also what lets one base filter per frequency span a
 regular-to-regular kernel.

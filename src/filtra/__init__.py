@@ -38,7 +38,6 @@ from .representations import (
     DctBasis,
     RepSpec,
     decompose_regular,
-    frequency_columns,
     intertwiner_residual,
     irrep,
     irrep_table,
@@ -72,7 +71,6 @@ __all__ = [
     "dihedral_group",
     "feature_map",
     "filter_transform",
-    "frequency_columns",
     "group_pool",
     "intertwiner_residual",
     "irrep",

@@ -241,15 +241,15 @@ def coordinate_table(spec: GroupSpec) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def exact_indices(spec: GroupSpec, size: int, mode: str) -> frozenset[int]:
     """The indices of the elements that act exactly on a size x size grid in
-    this mode, derived from the taps of the whole `coordinate_table` (those
-    `filter_transform` reads).  g is exact when its taps permute the pixels,
+    this mode, from the whole `coordinate_table`'s taps, built uncached as
+    nothing reads them again.  g is exact when its taps permute the pixels,
     one in-grid tap of weight exactly 1 per pixel reading each source pixel
     once, and when, for every h, h's taps read at g's sources equal the taps
     of h * g, the column of `groups.product_indices` at g: then resampling by
     h and then by g is resampling by h * g."""
     check_mode(mode)
     pixels = size * size
-    index, weight = _taps(size, size, coordinate_table(spec), mode)
+    index, weight = _build_taps.__wrapped__(size, size, tuple(coordinate_table(spec).ravel().tolist()), mode)
     weight = weight.reshape(-1, spec.order, pixels)
     # (planes, |G|, pixels), with -1 at the taps that read nothing
     index = np.where(weight != 0, index.reshape(weight.shape), -1)

@@ -21,6 +21,13 @@ import numpy as np
 _GROUP_NAME = re.compile(r"^([cd])([0-9]+)$")
 
 
+def check_integers(**fields: object) -> None:
+    """Reject a bool or non-integral field value, naming it; numpy integer scalars pass."""
+    for field, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A cyclic group C_N (reflection_order 1) or dihedral group D_N (2)."""
@@ -29,6 +36,7 @@ class GroupSpec:
     rotation_order: int
 
     def __post_init__(self) -> None:
+        check_integers(reflection_order=self.reflection_order, rotation_order=self.rotation_order)
         if self.reflection_order not in (1, 2):
             raise ValueError(f"reflection_order must be 1 or 2, got {self.reflection_order}")
         if self.rotation_order < 1:
@@ -86,6 +94,7 @@ class GroupElement:
     spec: GroupSpec
 
     def __post_init__(self) -> None:
+        check_integers(i0=self.i0, i1=self.i1)
         if not 0 <= self.i0 < self.spec.reflection_order:
             raise ValueError(f"reflection index {self.i0} out of range for {self.spec.name}")
         if not 0 <= self.i1 < self.spec.rotation_order:

@@ -9,9 +9,10 @@ coordinates indexed by group elements: column h is the unit vector at g * h,
 computed for g's row alone by `groups.product_indices`.
 
 Each irrep is one read-only (|G|, d, d) table, d <= 2, built once per group
-by `irrep_table` from `filters.coordinate_table`, so the irreps, the DCT
-columns and the resampling share one set of exact turns; an irrep at g is its
-table's row `g.index`, and for N >= 3 the (0, 1) table is `coordinate_table`.
+by `irrep_table` from `filters.coordinate_table`, and the DCT basis is those
+tables' first columns, so the irreps, the DCT columns and the resampling share
+one set of exact turns; an irrep at g is its table's row `g.index`, and for
+N >= 3 the (0, 1) table is `coordinate_table`.
 The trivial representation is the (0, 0) irrep, whose rows are exactly 1.
 Regular matrices are |G| x |G| each, so they are built and cached per element
 instead: a table of them would hold |G|**3 values.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import coordinate_table
-from .groups import GroupElement, GroupSpec, cyclic_group, product_indices
+from .groups import GroupElement, GroupSpec, check_integers, product_indices
 
 
 @functools.lru_cache(maxsize=128)
@@ -45,13 +46,11 @@ def regular_rep_matrix(g: GroupElement) -> np.ndarray:
 
 
 def irrep_dim(spec: GroupSpec, k: int) -> int:
-    n = spec.rotation_order
-    if k == 0 or (n % 2 == 0 and k == n // 2):
-        return 1
-    return 2
+    return 1 if k == 0 or 2 * k == spec.rotation_order else 2
 
 
 def _check_frequencies(spec: GroupSpec, j: int, k: int) -> None:
+    check_integers(j=j, k=k)
     if j not in (0, 1):
         raise ValueError(f"reflection frequency j must be 0 or 1, got {j}")
     if spec.reflection_order == 1 and j != 0:
@@ -62,7 +61,7 @@ def _check_frequencies(spec: GroupSpec, j: int, k: int) -> None:
 
 # a D_N has at most N + 2 irreps (j in {0, 1}, k in 0..N/2): room for every irrep of
 # a D_128 and then some, each table |G| matrices of at most 2 x 2
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)  # typed: a float or bool j, k misses and is rejected
 def irrep_table(spec: GroupSpec, j: int, k: int) -> np.ndarray:
     """The (|G|, d, d) matrices of the (j, k) irrep at every element, row
     `g.index` for g, read-only: row i0*N + (k*i1 mod N) of `coordinate_table`,
@@ -122,23 +121,14 @@ def regular_rep(spec: GroupSpec) -> RepSpec:
     return RepSpec("regular", spec)
 
 
-def frequency_columns(n: int, k: int) -> np.ndarray:
-    """Sampled cosine/sine columns at rotation frequency k: the C_N irrep k's first columns.
-
-    k = 0 gives the all-ones column; k = N/2 (N even) the alternating-sign
-    column; otherwise an N x 2 matrix with rows [cos(k*theta_i), sin(k*theta_i)].
-    `cyclic_group` rejects an n < 1 and `irrep_table` a k outside 0..N/2.
-    """
-    return irrep_table(cyclic_group(n), 0, k)[:, :, 0].copy()
-
-
 @dataclass(frozen=True)
 class DctBasis:
     """Column-block basis relating a regular representation to irreps.
 
-    `blocks` lists (j, k, column slice) per irrep block.  Columns are
-    orthogonal but unnormalized: the Gram matrix is diagonal, so the inverse
-    is the transpose scaled by the inverse column norms.
+    `blocks` lists (j, k, column slice) per irrep block, whose row h is the
+    first column of the (j, k) irrep at h.  Columns are orthogonal but
+    unnormalized: the Gram matrix is diagonal, so the inverse is the transpose
+    scaled by the inverse column norms.
     """
 
     matrix: np.ndarray
@@ -153,30 +143,23 @@ class DctBasis:
 def group_dct_basis(spec: GroupSpec) -> DctBasis:
     """The DCT basis of the group, built once per group; its matrix is read-only.
 
-    On C_N it is the N x N matrix V of cosine/sine columns
-    `frequency_columns(N, k)`, k = 0..floor(N/2).  On D_N it is the 2N x 2N
-    block matrix [[V, V], [V, -V]]: column block (j, k) is
-    [b_k; (-1)**j * b_k].
-    """
-    n = spec.rotation_order
-    matrix = np.hstack([frequency_columns(n, k) for k in range(n // 2 + 1)])
-    if spec.reflection_order == 2:
-        matrix = np.block([[matrix, matrix], [matrix, -matrix]])
-    blocks = []
-    start = 0
-    for j in range(spec.reflection_order):
-        for k in range(n // 2 + 1):
-            stop = start + irrep_dim(spec, k)
-            blocks.append((j, k, slice(start, stop)))
-            start = stop
+    Column block (j, k) is `irrep_table(spec, j, k)[:, :, 0]`, the (j, k)
+    irrep's first columns over the group, blocks j-major and k ascending: all
+    ones at k = 0, alternating signs at k = N/2, and otherwise [cos, sin] of
+    the turns k*i1/N, negated on reflections when j = 1."""
+    keys = [(j, k) for j in range(spec.reflection_order) for k in range(spec.rotation_order // 2 + 1)]
+    columns = [irrep_table(spec, j, k)[:, :, 0] for j, k in keys]
+    stops = np.cumsum([c.shape[1] for c in columns]).tolist()
+    matrix = np.hstack(columns)
     matrix.setflags(write=False)
+    blocks = ((j, k, slice(stop - c.shape[1], stop)) for (j, k), c, stop in zip(keys, columns, stops))
     return DctBasis(matrix, tuple(blocks))
 
 
 def decompose_regular(g: GroupElement) -> tuple[DctBasis, np.ndarray]:
     """Basis and block-diagonal irrep direct sum D with
     regular_rep_matrix(g) == basis @ D @ basis.inverse(): the (j, k) irrep at g
-    fills D at the basis's own column slice for (j, k), rows and columns."""
+    fills D at the rows and columns of the basis block holding its first columns."""
     basis = group_dct_basis(g.spec)
     d = np.zeros(basis.matrix.shape)
     for j, k, cols in basis.blocks:
@@ -185,14 +168,13 @@ def decompose_regular(g: GroupElement) -> tuple[DctBasis, np.ndarray]:
 
 
 def intertwiner_residual(k: int, g: GroupElement) -> float:
-    """Largest deviation of the frequency columns b from intertwining the
-    regular action with the frequency-k irreps, over each j of g's group:
-    one rule, irrep(j, k)(g) @ b.T == (-1)**(j*i0) * b.T @ B, where B is g's
-    column block [:N, i0*N:(i0+1)*N] of its group's regular matrix."""
-    n, i0 = g.spec.rotation_order, g.i0
-    b = frequency_columns(n, k).T  # dim(k) x N
-    moved = b @ regular_rep_matrix(g)[:n, i0 * n : (i0 + 1) * n]
+    """Largest deviation from irrep(j, k)(g) @ B.T == B.T @ regular_rep_matrix(g)
+    over each j of g's group, B the (j, k) block of its DCT basis: one rule for
+    rotations and reflections, as column h of B.T is irrep(j, k)(h)'s first."""
+    _check_frequencies(g.spec, 0, k)
+    basis = group_dct_basis(g.spec)
     return float(max(
-        np.abs(irrep_table(g.spec, j, k)[g.index] @ b - (-1) ** (j * i0) * moved).max()
-        for j in range(g.spec.reflection_order)
+        np.abs(irrep_table(g.spec, j, k)[g.index] @ b.T - b.T @ regular_rep_matrix(g)).max()
+        for j, block_k, cols in basis.blocks if block_k == k
+        for b in [basis.matrix[:, cols]]
     ))

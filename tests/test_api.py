@@ -23,20 +23,21 @@ def _library_tour_rows() -> list[str]:
     return [line for line in section.splitlines() if line.startswith("|")]
 
 
-def _tour_identifiers() -> set[str]:
-    """Backticked lower-case identifiers with an underscore in the library
-    tour, without call arguments or `module.` prefixes; `*` patterns are
-    skipped."""
+def _tour_names() -> set[str]:
+    """The leading identifier of each backticked span in the library tour,
+    without call arguments or `module.` prefixes; `*` patterns are skipped."""
     names = set()
     for row in _library_tour_rows():
         for span in re.findall(r"`([^`]+)`", row):
-            match = re.match(r"[a-z_][a-z0-9_.]*", span)
-            if "*" in span or match is None:
-                continue
-            name = match.group().rsplit(".", 1)[-1]
-            if "_" in name:
-                names.add(name)
+            match = re.match(r"[A-Za-z_][A-Za-z0-9_.]*", span)
+            if "*" not in span and match is not None:
+                names.add(match.group().rsplit(".", 1)[-1])
     return names
+
+
+def _tour_identifiers() -> set[str]:
+    """The lower-case names with an underscore among `_tour_names`."""
+    return {name for name in _tour_names() if "_" in name and name.islower()}
 
 
 def test_library_tour_names_resolve():
@@ -46,6 +47,11 @@ def test_library_tour_names_resolve():
     names = _tour_identifiers()
     assert {"filter_transform", "sample_plane", "steerable_kernel", "read_filter_csv"} <= names
     assert [name for name in sorted(names) if not any(hasattr(m, name) for m in modules)] == []
+
+
+def test_library_tour_names_every_public_name():
+    names = _tour_names()
+    assert [name for name in filtra.__all__ if name not in names] == []
 
 
 def _filtra_chain(node: ast.AST, aliases: dict[str, str]) -> str | None:

@@ -422,6 +422,16 @@ def test_tap_cache_bounds_bytes_and_keeps_no_oversized_stack():
     assert out.tobytes() == np.ones((9, side, side)).tobytes()
 
 
+def test_exact_indices_keeps_no_taps():
+    # the derived set is cached on its own; the whole table's taps are not read again
+    for spec, size, mode in ((cyclic_group(8), 15, "bilinear"), (dihedral_group(8), 3, "nearest")):
+        exact_indices.cache_clear()
+        _build_taps.cache_clear()
+        exact = exact_indices(spec, size, mode)
+        assert _build_taps.cache_info().currsize == 0
+        assert exact_indices.__wrapped__(spec, size, mode) == exact
+
+
 def _stack_matrices(rng, n):
     """n maps: group elements of D_8 and D_6 (exact and not), plus random ones."""
     pool = [coordinate_table(g.spec)[g.index] for spec in (dihedral_group(8), dihedral_group(6)) for g in spec.elements()]

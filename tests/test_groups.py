@@ -9,6 +9,10 @@ def test_spec_validation():
         GroupSpec(3, 4)
     with pytest.raises(ValueError):
         GroupSpec(1, 0)
+    for reflection_order, rotation_order, field in ((1, True, "rotation_order"), (1.0, 4, "reflection_order"), (2, 8.0, "rotation_order")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            GroupSpec(reflection_order, rotation_order)
+    assert GroupSpec(np.int64(2), np.int32(3)) == dihedral_group(3)
     assert cyclic_group(8).order == 8
     assert dihedral_group(8).order == 16
 
@@ -29,6 +33,11 @@ def test_element_validation():
         c8.element(1, 0)  # no reflections in a cyclic group
     with pytest.raises(ValueError):
         c8.element(0, 8)
+    # an index is an integer: 1.0 would hash equal to 1 in the caches and fail as a numpy index
+    for i0, i1, field in ((0, 1.0, "i1"), (0.0, 1, "i0"), (False, 1, "i0"), (0, True, "i1"), (0, np.float64(2), "i1")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            c8.element(i0, i1)
+    assert c8.element(np.int64(0), np.int32(3)) == c8.element(0, 3)
 
 
 def test_enumerate_order():

@@ -11,7 +11,6 @@ from filtra.groups import cyclic_group, dihedral_group
 from filtra.representations import (
     RepSpec,
     decompose_regular,
-    frequency_columns,
     group_dct_basis,
     intertwiner_residual,
     irrep,
@@ -186,19 +185,39 @@ def test_homomorphism_and_orthogonality_property(n, dihedral, kind, data):
     assert_allclose(rep.matrix(g.inverse()), rho_g.T, rtol=0, atol=1e-12)
 
 
-def test_frequency_columns_examples():
-    assert_array_equal(frequency_columns(4, 0), np.ones((4, 1)))
-    assert_allclose(frequency_columns(4, 2)[:, 0], [1, -1, 1, -1], atol=1e-15)
+def _first_columns(n, k):
+    return irrep_table(cyclic_group(n), 0, k)[:, :, 0]
+
+
+def test_cyclic_irrep_first_columns_examples():
+    assert_array_equal(_first_columns(4, 0), np.ones((4, 1)))
+    assert_allclose(_first_columns(4, 2)[:, 0], [1, -1, 1, -1], atol=1e-15)
     assert_allclose(
-        frequency_columns(4, 1), [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-15
+        _first_columns(4, 1), [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-15
     )
     with pytest.raises(ValueError):
-        frequency_columns(4, 3)
+        _first_columns(4, 3)
     # the columns take the exact-turn cos/sin of the coordinate maps, bit for bit
     for n in range(1, 33):
         for k in range(n // 2 + 1):
             want = [rotation_cos_sin(k * i, n)[: 1 if 2 * k in (0, n) else 2] for i in range(n)]
-            assert frequency_columns(n, k).tobytes() == np.array(want).tobytes(), (n, k)
+            assert _first_columns(n, k).tobytes() == np.array(want).tobytes(), (n, k)
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+@pytest.mark.parametrize("group", [cyclic_group, dihedral_group])
+def test_dct_basis_blocks_are_the_irrep_first_columns(group, n):
+    spec = group(n)
+    basis = group_dct_basis(spec)
+    assert [(j, k) for j, k, _ in basis.blocks] == [
+        (j, k) for j in range(spec.reflection_order) for k in range(n // 2 + 1)
+    ]
+    stop = 0
+    for j, k, cols in basis.blocks:
+        assert cols.start == stop
+        stop = cols.stop
+        assert basis.matrix[:, cols].tobytes() == irrep_table(spec, j, k)[:, :, 0].tobytes(), (j, k)
+    assert basis.matrix.shape == (spec.order, stop)
 
 
 def test_cyclic_basis_examples():
@@ -317,6 +336,19 @@ def test_rep_spec_validation():
     for kind, j, k in (("trivial", 1, 0), ("trivial", 0, 7), ("regular", 1, 2)):
         with pytest.raises(ValueError, match=f"a {kind} representation has no frequencies: got j={j}, k={k}"):
             RepSpec(kind, d4, j, k)
+    # frequencies are integers: a float or a bool would index the tables or label the irrep
+    c8, d8 = cyclic_group(8), dihedral_group(8)
+    for make, field in (
+        (lambda: irrep(c8, 0, 2.0), "k"),
+        (lambda: irrep(d8, True, 0), "j"),
+        (lambda: irrep(d8, 1, False), "k"),
+        (lambda: RepSpec("trivial", c8, 0.0, 0), "j"),
+        (lambda: irrep_table(c8, 0, 1.0), "k"),
+        (lambda: intertwiner_residual(1.0, c8.identity()), "k"),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            make()
+    assert irrep(d8, np.int64(1), np.int32(2)).label() == "irrep:1:2"
 
 
 def _irrep_formula(g, j, k):
