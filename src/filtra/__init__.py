@@ -29,10 +29,8 @@ from .kernels import (
     SteerableKernel,
     capacity_report,
     circulant_kernel,
-    regular_to_regular_dihedral,
     reverse_kernel,
     steerable_kernel,
-    trivial_to_regular_dihedral,
 )
 from .representations import (
     DctBasis,
@@ -81,13 +79,11 @@ __all__ = [
     "pool_spatial",
     "regular_rep",
     "regular_rep_matrix",
-    "regular_to_regular_dihedral",
     "relu_channelwise",
     "reports_to_csv",
     "reverse_kernel",
     "run_suite",
     "steerable_kernel",
     "trivial_rep",
-    "trivial_to_regular_dihedral",
     "verify_construction_identities",
 ]

@@ -94,6 +94,18 @@ def _out_dir(value: str) -> Path:
     return Path(value)
 
 
+def _write_grids(directory: Path, grids: np.ndarray, ext: str) -> int:
+    """Write each grid (r, c) to directory/r{r}_c{c}.{ext}, as CSV or PGM; return the count."""
+    writer = write_filter_csv if ext == "csv" else write_pgm
+    rows, cols = grids.shape[:2]
+    with _naming("--out"):
+        directory.mkdir(parents=True, exist_ok=True)
+        for r in range(rows):
+            for c in range(cols):
+                writer(directory / f"r{r}_c{c}.{ext}", grids[r, c])
+    return rows * cols
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filtra",
@@ -203,16 +215,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     # a malformed file's message already starts with its path
     with _naming("--base", OSError):
         bases = [read_filter_csv(path) for path in _comma_list(args.base)]
-    kernel = _build_kernel(args, spec, bases)
-    with _naming("--out"):
-        out.mkdir(parents=True, exist_ok=True)
-    ext = args.format
-    writer = write_filter_csv if ext == "csv" else write_pgm
-    rows, cols = kernel.grids.shape[:2]
-    for r in range(rows):
-        for c in range(cols):
-            writer(out / f"r{r}_c{c}.{ext}", kernel.grids[r, c])
-    print(f"wrote {rows * cols} grids to {out}")
+    count = _write_grids(out, _build_kernel(args, spec, bases).grids, args.format)
+    print(f"wrote {count} grids to {out}")
     return 0
 
 
@@ -281,15 +285,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     # the trivial-input kernels are the filter stacks themselves
     families["stack"] = families["triv2reg_cyclic"]
     families["stack_reflected"] = families["triv2reg_dihedral"][n:]
-    count = 0
-    with _naming("--out"):
-        for name, grids in families.items():
-            family_dir = out / name
-            family_dir.mkdir(parents=True, exist_ok=True)
-            for r in range(grids.shape[0]):
-                for c in range(grids.shape[1]):
-                    write_pgm(family_dir / f"r{r}_c{c}.pgm", grids[r, c])
-                    count += 1
+    count = sum(_write_grids(out / name, grids, "pgm") for name, grids in families.items())
     print(f"wrote {count} PGM dumps under {out}")
     return 0
 

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .filters import coordinate_table, sample_plane
-from .groups import GroupElement, GroupSpec, inverse_indices
+from .groups import GroupElement, GroupSpec, check_integers, inverse_indices
 from .kernels import SteerableKernel
 from .representations import RepSpec, trivial_rep
 
@@ -188,6 +188,7 @@ def group_pool(f: FeatureMap) -> FeatureMap:
 
 def pool_spatial(f: FeatureMap, k: int, stride: int) -> FeatureMap:
     """Channel-wise spatial max pooling with zero padding to cover the edges."""
+    check_integers(k=k, stride=stride)
     if k < 1 or stride < 1:
         raise ValueError(f"window {k} and stride {stride} must be >= 1")
     h, w = f.height, f.width

@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .groups import GroupSpec, inverse_indices, product_indices
+from .groups import GroupSpec, check_integers, inverse_indices, product_indices
 
 MODES = ("bilinear", "nearest")
 TAU = 2.0 * math.pi
@@ -238,7 +238,7 @@ def coordinate_table(spec: GroupSpec) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def exact_indices(spec: GroupSpec, size: int, mode: str) -> frozenset[int]:
     """The indices of the elements that act exactly on a size x size grid in
     this mode, from the whole `coordinate_table`'s taps, built uncached as
@@ -248,6 +248,9 @@ def exact_indices(spec: GroupSpec, size: int, mode: str) -> frozenset[int]:
     of h * g, the column of `groups.product_indices` at g: then resampling by
     h and then by g is resampling by h * g."""
     check_mode(mode)
+    check_integers(size=size)
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     pixels = size * size
     index, weight = _build_taps.__wrapped__(size, size, tuple(coordinate_table(spec).ravel().tolist()), mode)
     weight = weight.reshape(-1, spec.order, pixels)

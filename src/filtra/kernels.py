@@ -7,10 +7,10 @@ input representation and always mapping to the regular one:
 assembly weights each stack by its irrep block's columns of the group's DCT
 basis (`group_dct_basis`, built once per group and shared) and, for a
 regular input, mixes the blocks by the inverse basis.  The irrep blocks, and
-their order, are read from that basis.  Two dihedral constructors remain as
-calls into it because the benchmark builds its forward stack with them.
-Also here: reversed kernels, the circulant baseline and weight-capacity
-accounting.
+their order, are read from that basis.  Two dihedral constructors remain
+here, not exported from `filtra`, as calls into it for the benchmark's
+forward stack.  Also here: reversed kernels, the circulant baseline and
+weight-capacity accounting.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import check_filter_grid, filter_transform
-from .groups import GroupSpec, cyclic_group, dihedral_group
+from .groups import GroupSpec, check_integers, cyclic_group, dihedral_group
 from .representations import RepSpec, group_dct_basis, irrep, regular_rep, trivial_rep
 
 
@@ -102,7 +102,7 @@ def steerable_kernel(
 
 def trivial_to_regular_dihedral(base: np.ndarray, n: int, mode: str = "bilinear") -> SteerableKernel:
     """2N x 1 kernel whose rows are the D_N filter transform of the base filter.
-    Kept for the benchmark's forward stack until it builds with `steerable_kernel`."""
+    Not exported from `filtra`; kept for the benchmark's forward stack until it builds with `steerable_kernel`."""
     return steerable_kernel(trivial_rep(dihedral_group(n)), [base], mode)
 
 
@@ -110,7 +110,7 @@ def regular_to_regular_dihedral(
     bases: list[np.ndarray], n: int, mode: str = "bilinear"
 ) -> SteerableKernel:
     """2N x 2N kernel from one base filter per (j, k), j-major, k ascending.
-    Kept for the benchmark's forward stack until it builds with `steerable_kernel`."""
+    Not exported from `filtra`; kept for the benchmark's forward stack until it builds with `steerable_kernel`."""
     return steerable_kernel(regular_rep(dihedral_group(n)), bases, mode)
 
 
@@ -153,6 +153,7 @@ def capacity_report(n: int, size: int, kind: str) -> CapacityReport:
     kernel of the given construction."""
     if kind not in CAPACITY_KINDS:
         raise ValueError(f"unknown capacity kind {kind!r}: expected one of {CAPACITY_KINDS}")
+    check_integers(n=n, size=size)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if size < 1 or size % 2 == 0:

@@ -108,6 +108,13 @@ def test_benchmark_entry_points_resolve():
     assert unresolved == []
 
 
+def test_dihedral_twins_live_in_kernels_only():
+    # the benchmark's forward stack reaches them as filtra.kernels.<name>
+    for name in ("trivial_to_regular_dihedral", "regular_to_regular_dihedral"):
+        assert name not in filtra.__all__ and not hasattr(filtra, name)
+        assert callable(_resolve(f"filtra.kernels.{name}"))
+
+
 def test_every_module_constant_is_read_in_src():
     """Each module-level UPPER_CASE constant in src/filtra is read somewhere
     in src besides its own assignment: a constant nothing reads is a knob
@@ -129,6 +136,43 @@ def test_every_module_constant_is_read_in_src():
     }
     assert {"KERNEL_TOL", "MODES", "TAU"} <= constants
     assert sorted(constants - reads) == []
+
+
+def test_every_parameter_default_is_set_by_some_caller():
+    """Each defaulted parameter of a function in src/filtra is passed, by
+    position or by keyword, in some call by that function's name in src,
+    tests, demos or the benchmark: a default no caller overrides is a
+    parameter that changes nothing."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in (path for folder in ("src", "tests", "demos", "perfbench") for path in (README.parent / folder).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_name(node.func), []).append(node)
+
+    def sets(call: ast.Call, position: int | None, param: str) -> bool:
+        if any(keyword.arg in (param, None) for keyword in call.keywords):
+            return True
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        return position is not None and (len(call.args) > position or starred)
+
+    src = Path(filtra.__file__).resolve().parent
+    checked, unset = set(), []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            # a method's self is passed by the attribute access, not in the call
+            bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            first_default = len(positional) - len(fn.args.defaults)
+            defaulted = [(i - bound, arg.arg) for i, arg in enumerate(positional) if i >= first_default]
+            defaulted += [(None, arg.arg) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            for position, param in defaulted:
+                checked.add(f"{path.stem}.{fn.name}({param})")
+                if not any(sets(call, position, param) for call in calls.get(fn.name, [])):
+                    unset.append(f"{path.stem}.{fn.name}({param})")
+    assert {"cli._naming(errors)", "cli.main(argv)", "kernels.steerable_kernel(mode)"} <= checked
+    assert unset == []
 
 
 def _sites(node: ast.AST, where: str, hit) -> list[str]:

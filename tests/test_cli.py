@@ -9,7 +9,8 @@ import pytest
 import filtra
 import filtra.cli
 from filtra.cli import main
-from filtra.fileio import write_filter_csv
+from filtra.fileio import read_filter_csv, write_filter_csv
+from filtra.kernels import circulant_kernel
 
 
 @pytest.fixture()
@@ -174,6 +175,7 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
          "--j: orn takes no irrep frequency; only irrep2reg does"),
         (["gen", "--group", "d4", "--kind", "orn"],
          "--kind: orn kernels are defined on cyclic groups only, got --group d4"),
+        (["gen", "--group", "c8", "--kind", "orn", "--base", "{base},{base}"], "--base: orn takes exactly one base filter"),
         (["gen", "--group", "c4", "--kind", "triv2reg", "--out", "{base}"],
          "--out: [Errno 17] File exists: '{base}'"),
         (["demo", "--group", "c8", "--image", "{tmp}/missing.csv"],
@@ -206,7 +208,7 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
     ],
     ids=["gen-k", "gen-j", "gen-cyclic-j", "gen-base-count", "verify-mode", "demo-k", "demo-j",
          "gen-triv2reg-j-k", "gen-triv2reg-j", "gen-reg2reg-k", "gen-orn-k", "gen-orn-dihedral-j",
-         "gen-orn-dihedral", "gen-out-file", "demo-image-missing", "verify-report-dir", "verify-report-no-parent",
+         "gen-orn-dihedral", "gen-orn-two-bases", "gen-out-file", "demo-image-missing", "verify-report-dir", "verify-report-no-parent",
          "gen-base-missing", "capacity-dihedral", "demo-out-file", "gen-base-not-utf8", "demo-image-not-utf8",
          "gen-out-empty", "demo-out-empty", "verify-report-empty", "verify-group-non-ascii-digit",
          "capacity-size-non-ascii-digit", "verify-size-underscore", "decompose-element-non-ascii-digits"],
@@ -276,6 +278,28 @@ def test_gen_writes_grids(base_csv, tmp_path, capsys):
     assert code == 0
     names = sorted(p.name for p in out.iterdir())
     assert names == ["r0_c0.csv", "r1_c0.csv", "r2_c0.csv", "r3_c0.csv"]
+
+
+def test_gen_names_out_when_a_grid_cannot_be_written(base_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "r0_c0.csv").mkdir(parents=True)
+    code = main(["gen", "--group", "c4", "--kind", "triv2reg", "--base", str(base_csv), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"filtra: error: --out: [Errno 21] Is a directory: '{out / 'r0_c0.csv'}'\n"
+    assert list(out.rglob("*")) == [out / "r0_c0.csv"]  # nothing else is written
+
+
+def test_gen_orn_writes_the_circulant_kernel(base_csv, tmp_path, capsys):
+    out = tmp_path / "orn"
+    assert main(["gen", "--group", "c8", "--kind", "orn", "--base", str(base_csv), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 64 grids to {out}\n"
+    grids = circulant_kernel(read_filter_csv(base_csv), 8, "bilinear").grids
+    assert len(list(out.iterdir())) == 64
+    for r in range(8):
+        for c in range(8):
+            assert read_filter_csv(out / f"r{r}_c{c}.csv").tobytes() == grids[r, c].tobytes()
 
 
 def test_gen_reg2reg_base_count(base_csv, tmp_path):

@@ -47,6 +47,10 @@ def test_feature_map_validation():
             feature_map(c4, regular_rep(c4), data)
     f = feature_map(c4, regular_rep(c4), np.zeros((8, 5, 5)))
     assert f.multiplicity == 2
+    with pytest.raises(ValueError, match="^feature representation must live on the feature's group$"):
+        feature_map(c4, regular_rep(dihedral_group(4)), np.zeros((8, 5, 5)))
+    with pytest.raises(ValueError, match=r"^feature data must be C x H x W, got shape \(5, 5\)$"):
+        feature_map(c4, trivial_rep(c4), np.zeros((5, 5)))
 
 
 def test_intermediate_maps_are_not_scanned():
@@ -246,6 +250,20 @@ def test_pool_spatial():
     assert pooled.data.shape == (4, 3, 3)
     with pytest.raises(ValueError):
         pool_spatial(reg, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "k, stride, message",
+    [(2.0, 1, "k must be an integer, got 2.0"), (3, 2.0, "stride must be an integer, got 2.0"),
+     (True, 1, "k must be an integer, got True"), (3, False, "stride must be an integer, got False"),
+     (0, 1, "window 0 and stride 1 must be >= 1"), (3, -2, "window 3 and stride -2 must be >= 1")],
+    ids=["float-window", "float-stride", "bool-window", "bool-stride", "zero-window", "negative-stride"],
+)
+def test_pool_spatial_rejects_non_integer_and_non_positive_windows(k, stride, message):
+    c4 = cyclic_group(4)
+    f = feature_map(c4, trivial_rep(c4), np.ones((1, 5, 5)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pool_spatial(f, k, stride)
 
 
 def test_pool_spatial_commutes_with_channel_permutation():

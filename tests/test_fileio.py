@@ -78,9 +78,10 @@ def test_filter_csv_rejects_bad_header(tmp_path):
         ("S=\u0663\n1,2,3\n4,5,6\n7,8,9\n", 1, "S must be a positive integer, got '\u0663'"),
         ("S=1\n1_0\n", 2, "values must be numbers, got '1_0'"),
         ("S=1\n\u0669\n", 2, "values must be numbers, got '\u0669'"),
+        ("S=3\n1,2,3\n4,nan,6\n7,8,9\n", 3, "values must be finite, got '4,nan,6'"),
     ],
     ids=["ragged", "non-numeric", "bad-size", "leading-blank-lines", "non-ascii-size", "underscore-value",
-         "non-ascii-value"],
+         "non-ascii-value", "nan-value"],
 )
 def test_filter_csv_errors_name_file_and_line(tmp_path, text, where, message):
     path = tmp_path / "bad.csv"
@@ -89,6 +90,13 @@ def test_filter_csv_errors_name_file_and_line(tmp_path, text, where, message):
         read_filter_csv(path)
     assert str(info.value).startswith(f"{path}:{where}: ")
     assert message in str(info.value)
+
+
+def test_filter_csv_rejects_an_even_side(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("S=2\n1,2\n3,4\n")
+    with pytest.raises(ValueError, match=f"^{path}: filter side length must be odd, got 2$"):
+        read_filter_csv(path)
 
 
 @pytest.mark.parametrize("read", [read_filter_csv])

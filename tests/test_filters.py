@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -430,6 +431,23 @@ def test_exact_indices_keeps_no_taps():
         exact = exact_indices(spec, size, mode)
         assert _build_taps.cache_info().currsize == 0
         assert exact_indices.__wrapped__(spec, size, mode) == exact
+
+
+def test_exact_indices_rejects_non_integer_and_non_positive_sizes():
+    c8 = cyclic_group(8)
+    # a float or bool size must miss the cache, cold and then warm, and be rejected
+    exact_indices.cache_clear()
+    for _ in ("cold", "warm"):
+        for size in (5.0, True, np.float64(5.0)):
+            with pytest.raises(ValueError, match="^" + re.escape(f"size must be an integer, got {size!r}") + "$"):
+                exact_indices(c8, size, "bilinear")
+        exact_indices(c8, 5, "bilinear")
+    for size in (0, -3):
+        with pytest.raises(ValueError, match=f"^size must be >= 1, got {size}$"):
+            exact_indices(c8, size, "nearest")
+    # feature maps may have an even side, and numpy integers are sizes
+    assert exact_indices(c8, 4, "bilinear") == {0, 2, 4, 6}
+    assert exact_indices(c8, np.int64(5), "bilinear") == exact_indices(c8, 5, "bilinear")
 
 
 def _stack_matrices(rng, n):

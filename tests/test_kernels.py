@@ -6,6 +6,7 @@ from filtra.filters import TAU
 from filtra.groups import cyclic_group, dihedral_group
 from filtra.harness import check_kernel_equivariance
 from filtra.kernels import (
+    SteerableKernel,
     capacity_report,
     circulant_kernel,
     regular_to_regular_dihedral,
@@ -188,9 +189,24 @@ def test_capacity_report():
 
 @pytest.mark.parametrize(
     "n, size, kind, name",
-    [(-4, 3, "reg2reg", "n"), (0, 3, "orn", "n"), (4, 4, "orn", "size"), (8, -5, "orn", "size"), (8, 0, "reg2reg", "size")],
+    [(-4, 3, "reg2reg", "n"), (0, 3, "orn", "n"), (4, 4, "orn", "size"), (8, -5, "orn", "size"), (8, 0, "reg2reg", "size"),
+     (8.0, 3, "reg2reg", "n"), (True, 3, "orn", "n"), (8, 3.0, "reg2reg", "size")],
 )
 def test_capacity_report_rejects_kernels_that_cannot_exist(n, size, kind, name):
-    # no kernel has a group of order below 1 or an even or non-positive side
+    # no kernel has a group of order below 1 or an even or non-positive side,
+    # and a float or a bool is no count
     with pytest.raises(ValueError, match=f"^{name} must be"):
         capacity_report(n, size, kind)
+
+
+def test_steerable_kernel_validation():
+    c4, d4 = cyclic_group(4), dihedral_group(4)
+    with pytest.raises(ValueError, match="^kernel representations must live on the kernel's group$"):
+        SteerableKernel(c4, trivial_rep(d4), regular_rep(c4), np.zeros((4, 1, 3, 3)), "bilinear")
+    with pytest.raises(ValueError, match="^grid matrix is 4x2, expected 4x1$"):
+        SteerableKernel(c4, trivial_rep(c4), regular_rep(c4), np.zeros((4, 2, 3, 3)), "bilinear")
+    for shape in ((4, 1, 4, 4), (4, 1, 3, 5)):
+        with pytest.raises(ValueError, match="^filter grids must be square with odd side, got"):
+            SteerableKernel(c4, trivial_rep(c4), regular_rep(c4), np.zeros(shape), "bilinear")
+    with pytest.raises(ValueError, match=r"^base filters must share one size, got sides \[3, 5\]$"):
+        steerable_kernel(regular_rep(c4), [BASE, np.zeros((5, 5)), BASE], "bilinear")
