@@ -17,8 +17,6 @@ from .harness import (
     EquivarianceReport,
     check_feature_equivariance,
     check_kernel_elements,
-    check_kernel_equivariance,
-    is_exact_element,
     kernel_families,
     reports_to_csv,
     run_suite,
@@ -60,7 +58,6 @@ __all__ = [
     "capacity_report",
     "check_feature_equivariance",
     "check_kernel_elements",
-    "check_kernel_equivariance",
     "circulant_kernel",
     "conv2d",
     "coordinate_table",
@@ -73,7 +70,6 @@ __all__ = [
     "intertwiner_residual",
     "irrep",
     "irrep_table",
-    "is_exact_element",
     "kernel_families",
     "parse_group",
     "pool_spatial",

@@ -272,10 +272,8 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
-    image_path = Path(args.image)
-    if not image_path.is_file():
-        raise ValueError(f"--image: unreadable base filter file: {image_path}")
-    base = read_filter_csv(image_path)
+    with _naming("--image", OSError):
+        base = read_filter_csv(args.image)
     n = parse_group(args.group).rotation_order
     families: dict[str, np.ndarray] = {}
     for spec, kind, j in ((cyclic_group(n), "cyclic", 0), (dihedral_group(n), "dihedral", args.j)):

@@ -1,5 +1,6 @@
 """Vector-field feature maps, the group action on them, plain 2D convolution
-against steerable kernels, and steerability-preserving nonlinearity/pooling.
+against steerable kernels, and relu and max pooling, which keep steerability
+by acting channel by channel and so reject irrep features.
 
 A feature map is a C x H x W tensor whose channels carry `multiplicity`
 copies of a representation, multiplicity-major: channel block b spans
@@ -169,11 +170,15 @@ def act_on_feature(g: GroupElement, f: FeatureMap, mode: str = "bilinear") -> Fe
     return FeatureMap(f.group, f.rep, act_on_feature_stack([g], f, mode)[0])
 
 
-def relu_channelwise(f: FeatureMap) -> FeatureMap:
-    """Elementwise max(0, v).  Rejects irrep features: a channel-wise
-    nonlinearity does not commute with irrep channel mixing."""
+def _check_channelwise(f: FeatureMap, op: str) -> None:
+    """Reject irrep features: a channel-wise op commutes with the action only where it permutes channels."""
     if f.rep.kind == "irrep":
-        raise ValueError("channel-wise relu breaks steerability of irrep features")
+        raise ValueError(f"{op} breaks steerability of irrep features")
+
+
+def relu_channelwise(f: FeatureMap) -> FeatureMap:
+    """Elementwise max(0, v).  Rejects irrep features."""
+    _check_channelwise(f, "channel-wise relu")
     return FeatureMap(f.group, f.rep, np.maximum(f.data, 0.0))
 
 
@@ -187,7 +192,9 @@ def group_pool(f: FeatureMap) -> FeatureMap:
 
 
 def pool_spatial(f: FeatureMap, k: int, stride: int) -> FeatureMap:
-    """Channel-wise spatial max pooling with zero padding to cover the edges."""
+    """Channel-wise spatial max pooling, zero-padded at the bottom and right; rejects irrep
+    features.  Commutes with an exact element's action where it pads nothing."""
+    _check_channelwise(f, "channel-wise max pooling")
     check_integers(k=k, stride=stride)
     if k < 1 or stride < 1:
         raise ValueError(f"window {k} and stride {stride} must be >= 1")

@@ -2,10 +2,10 @@
 
 Filter CSV: first line ``S=<odd int>``, then S lines of S comma-separated
 values.  Values are written with 17 significant digits so round trips are
-exact.  Files are read as UTF-8.  Reading rejects a nan or inf value with
-its file and line: this reader, with `features.feature_map`, is where
-finiteness is checked.  Feature maps have no file format; callers hand
-them over as arrays through `features.feature_map`.
+exact.  Files are read as UTF-8, less one leading byte-order mark.  Reading
+rejects a nan or inf value with its file and line: this reader, with
+`features.feature_map`, is where finiteness is checked.  Feature maps have
+no file format; callers hand them over as arrays.
 """
 
 from __future__ import annotations
@@ -34,22 +34,11 @@ def _read_lines(path: str | Path) -> tuple[list[str], int]:
     """The lines of `path` without leading and trailing blank space, and the
     file line number of the first of them."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     stripped = raw.strip()
     return stripped.splitlines(), raw[: raw.index(stripped)].count("\n") + 1
-
-
-def _int_field(where: str, key: str, text: str) -> int:
-    """A positive integer header field; `where` names the file and line."""
-    try:
-        value = int(text) if text.isascii() and "_" not in text else 0
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{where}: {key} must be a positive integer, got {text!r}")
-    return value
 
 
 def _value_rows(path: str | Path, lines: list[str], first: int, width: int) -> list[list[float]]:
@@ -77,7 +66,13 @@ def read_filter_csv(path: str | Path) -> np.ndarray:
     text, first = _read_lines(path)
     if not text or not text[0].startswith("S="):
         raise ValueError(f"{path}:{first}: expected a first line of the form S=<odd int>")
-    s = _int_field(f"{path}:{first}", "S", text[0][2:])
+    field = text[0][2:]
+    try:
+        s = int(field) if field.isascii() and "_" not in field else 0
+    except ValueError:
+        s = 0
+    if s < 1:
+        raise ValueError(f"{path}:{first}: S must be a positive integer, got {field!r}")
     if len(text) != s + 1:
         raise ValueError(f"{path}: expected {s} rows after the header, got {len(text) - 1}")
     values = np.array(_value_rows(path, text[1:], first + 1, s))

@@ -15,7 +15,8 @@ A family is checked at all of its group's elements in chunks
 chunk's coordinate maps in one `sample_plane` call and conjugates by the
 chunk's stacked representation matrices in two batched products, bounded
 by CHECK_TILE doubles.  `check_kernel_equivariance` is the same body on a
-chunk of one element, and every residual pair is bit-identical either way.
+chunk of one element, and every residual pair is bit-identical either way;
+it and `is_exact_element` serve the benchmark and are not exported.
 A family's `EquivarianceReport` keeps its per-element rows and its exact set;
 the exact-subgroup and full-group maxima are read from those rows.
 """

@@ -179,7 +179,7 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
         (["gen", "--group", "c4", "--kind", "triv2reg", "--out", "{base}"],
          "--out: [Errno 17] File exists: '{base}'"),
         (["demo", "--group", "c8", "--image", "{tmp}/missing.csv"],
-         "--image: unreadable base filter file: {tmp}/missing.csv"),
+         "--image: [Errno 2] No such file or directory: '{tmp}/missing.csv'"),
         # the suite would print a line per family: it must not start
         (["verify", "--group", "c4", "--report", "{tmp}"], "--report: [Errno 21] Is a directory: '{tmp}'"),
         (["verify", "--group", "c4", "--report", "{tmp}/missing/report.csv"],
@@ -391,6 +391,25 @@ def test_demo_unreadable_image(tmp_path, capsys):
                  "--out", str(tmp_path / "d")])
     assert code == 2
     assert "missing.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["gen", "--kind", "triv2reg", "--base"], "--base"), (["demo", "--image"], "--image")],
+    ids=["gen-base", "demo-image"],
+)
+def test_unreadable_input_names_the_option(argv, option, base_csv, tmp_path, capsys, monkeypatch):
+    """A file that exists but fails to read (an I/O error) is named by its option."""
+    def unreadable(path):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(filtra.cli, "read_filter_csv", unreadable)
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--group", "c4"] + argv[1:] + [str(base_csv), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"filtra: error: {option}: [Errno 5] Input/output error\n"
+    assert not out.exists()
 
 
 def test_usage_errors():

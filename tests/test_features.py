@@ -266,6 +266,38 @@ def test_pool_spatial_rejects_non_integer_and_non_positive_windows(k, stride, me
         pool_spatial(f, k, stride)
 
 
+def test_channelwise_layers_reject_irrep_features():
+    # max pooling and relu each act channel by channel, which commutes with
+    # the action only where it permutes channels
+    for spec in (cyclic_group(4), dihedral_group(4)):
+        for rep in (irrep(spec, j, k) for j in range(spec.reflection_order) for k in (1, 2)):
+            f = feature_map(spec, rep, np.ones((2 * rep.dim, 9, 9)))
+            with pytest.raises(ValueError, match="^channel-wise max pooling breaks steerability of irrep features$"):
+                pool_spatial(f, 3, 3)
+            with pytest.raises(ValueError, match="^channel-wise relu breaks steerability of irrep features$"):
+                relu_channelwise(f)
+
+
+def test_pool_spatial_commutes_with_the_action_where_it_pads_nothing():
+    # (h - k) a multiple of the stride: the windows tile the map with no
+    # padding, and their lattice is symmetric under every element of D4
+    rng = np.random.default_rng(10)
+    cases = 0
+    for spec in (cyclic_group(4), dihedral_group(4)):
+        rep = regular_rep(spec)
+        for h in range(3, 20):
+            f = feature_map(spec, rep, rng.uniform(-1, 1, (spec.order, h, h)))
+            acted = act_on_feature_stack(spec.elements(), f)
+            for k, stride in ((2, 2), (3, 2), (3, 1), (2, 1), (3, 3)):
+                if (h - k) % stride:
+                    continue
+                moved = act_on_feature_stack(spec.elements(), pool_spatial(f, k, stride))
+                for copy, expected in zip(acted, moved):
+                    assert_array_equal(pool_spatial(feature_map(spec, rep, copy), k, stride).data, expected)
+                    cases += 1
+    assert cases == 12 * 57  # 57 unpadded (h, k, stride), 4 + 8 elements
+
+
 def test_pool_spatial_commutes_with_channel_permutation():
     c4 = cyclic_group(4)
     rng = np.random.default_rng(9)

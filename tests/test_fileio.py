@@ -99,6 +99,22 @@ def test_filter_csv_rejects_an_even_side(tmp_path):
         read_filter_csv(path)
 
 
+def test_filter_csv_reads_past_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with one
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfS=3\n1,2,3\n4,5,6\n7,8,9\n")
+    assert_array_equal(read_filter_csv(path), np.arange(1.0, 10.0).reshape(3, 3))
+    # only one: a second mark is not blank space and not a header; a
+    # non-UTF-8 byte is still named at its offset in the file
+    cases = [(b"\xef\xbb\xbf" * 2 + b"S=1\n1\n", "1: expected a first line of the form S=<odd int>"),
+             (b"\xef\xbb\xbfS=1\n\xff\n", " not UTF-8 text (invalid start byte at byte 7)")]
+    for data, message in cases:
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            read_filter_csv(path)
+        assert str(info.value) == f"{path}:{message}"
+
+
 @pytest.mark.parametrize("read", [read_filter_csv])
 def test_non_utf8_file_error_names_the_file(tmp_path, read):
     path = tmp_path / "latin1.csv"
