@@ -226,8 +226,8 @@ def _matrix_lines(m: np.ndarray) -> list[str]:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     spec = parse_group(args.group)
-    parts = _comma_list(args.element)
-    if len(parts) != 2:
+    parts = [part.strip() for part in args.element.split(",")]
+    if len(parts) != 2 or "" in parts:
         raise ValueError(f"--element expects i0,i1, got {args.element!r}")
     i0, i1 = (_element_index(part) for part in parts)
     try:

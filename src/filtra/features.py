@@ -24,8 +24,8 @@ map.
 
 `pool_spatial` is a separable strided max: k in-place maxima over strided
 row slices into a (C, out_h, W) buffer, then k over its strided column
-slices; the map is copied into a zero-padded one only when the windows run
-past its edge.
+slices.  Its windows must tile the map (H, W >= k, with the stride dividing
+H - k and W - k), so their lattice is centred; else it raises `ValueError`.
 
 Finiteness of a caller's data is checked where it enters the library, in
 `feature_map`.  `FeatureMap` does not scan its data, so maps
@@ -192,23 +192,20 @@ def group_pool(f: FeatureMap) -> FeatureMap:
 
 
 def pool_spatial(f: FeatureMap, k: int, stride: int) -> FeatureMap:
-    """Channel-wise spatial max pooling, zero-padded at the bottom and right; rejects irrep
-    features.  Commutes with an exact element's action where it pads nothing."""
+    """Channel-wise spatial max pooling over windows that tile the map; rejects irrep
+    features.  Commutes with the action of every element exact on the map's grid."""
     _check_channelwise(f, "channel-wise max pooling")
     check_integers(k=k, stride=stride)
     if k < 1 or stride < 1:
         raise ValueError(f"window {k} and stride {stride} must be >= 1")
     h, w = f.height, f.width
-    oh = max(0, -(-(h - k) // stride)) + 1
-    ow = max(0, -(-(w - k) // stride)) + 1
-    ph = max(0, (oh - 1) * stride + k - h)
-    pw = max(0, (ow - 1) * stride + k - w)
-    data = np.pad(f.data, ((0, 0), (0, ph), (0, pw))) if ph or pw else f.data
-    span_h, span_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+    if min(h, w) < k or (h - k) % stride or (w - k) % stride:
+        raise ValueError(f"window {k} and stride {stride} do not tile a {h}x{w} map")
+    span_h, span_w = h - k + 1, w - k + 1
     # separable: the max over the k row offsets, then over the k column offsets
-    rows = data[:, :span_h:stride].copy()
+    rows = f.data[:, :span_h:stride].copy()
     for u in range(1, k):
-        np.maximum(rows, data[:, u : u + span_h : stride], out=rows)
+        np.maximum(rows, f.data[:, u : u + span_h : stride], out=rows)
     out = rows[:, :, :span_w:stride].copy()
     for v in range(1, k):
         np.maximum(out, rows[:, :, v : v + span_w : stride], out=out)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -106,6 +107,18 @@ def test_benchmark_entry_points_resolve():
         except (AttributeError, ImportError):
             unresolved.append(chain)
     assert unresolved == []
+
+
+def test_benchmark_forward_stack_runs_one_image():
+    """The benchmark's forward stack pools 127 -> 63 -> 31; a pooling rule
+    that refused those maps fails here as well as in the benchmark."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    stack = workloads.ForwardStack(0, "", images=1)
+    out = stack.forward(stack.images[0])
+    assert out.rep == filtra.trivial_rep(stack.spec)
+    assert out.data.shape == (3, 31, 31)
 
 
 def test_benchmark_only_names_live_in_their_modules_only():

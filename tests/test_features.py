@@ -18,9 +18,10 @@ from filtra.features import (
     pool_spatial,
     relu_channelwise,
 )
-from filtra.filters import coordinate_table, sample_plane
+from filtra.filters import coordinate_table, exact_indices, sample_plane
 from filtra.groups import cyclic_group, dihedral_group, parse_group
-from filtra.kernels import SteerableKernel, steerable_kernel
+from filtra.harness import FEATURE_TOL
+from filtra.kernels import SteerableKernel, input_blocks, steerable_kernel
 from filtra.representations import irrep, regular_rep, trivial_rep
 
 
@@ -245,7 +246,7 @@ def test_pool_spatial():
     square = feature_map(c4, trivial_rep(c4), np.array([[[1.0, 2.0], [3.0, 4.0]]]))
     assert_array_equal(pool_spatial(square, 2, 2).data, [[[4.0]]])
 
-    reg = feature_map(c4, regular_rep(c4), rng.uniform(-1, 1, (4, 6, 6)))
+    reg = feature_map(c4, regular_rep(c4), rng.uniform(-1, 1, (4, 7, 7)))
     pooled = pool_spatial(reg, 3, 2)
     assert pooled.data.shape == (4, 3, 3)
     with pytest.raises(ValueError):
@@ -279,23 +280,26 @@ def test_channelwise_layers_reject_irrep_features():
 
 
 def test_pool_spatial_commutes_with_the_action_where_it_pads_nothing():
-    # (h - k) a multiple of the stride: the windows tile the map with no
-    # padding, and their lattice is symmetric under every element of D4
+    # (h - k) a multiple of the stride: the windows tile the map, and their
+    # lattice is symmetric under every element of D4; elsewhere the pool raises
     rng = np.random.default_rng(10)
-    cases = 0
+    cases = refused = 0
     for spec in (cyclic_group(4), dihedral_group(4)):
         rep = regular_rep(spec)
-        for h in range(3, 20):
+        for h in range(3, 40):
             f = feature_map(spec, rep, rng.uniform(-1, 1, (spec.order, h, h)))
             acted = act_on_feature_stack(spec.elements(), f)
             for k, stride in ((2, 2), (3, 2), (3, 1), (2, 1), (3, 3)):
                 if (h - k) % stride:
+                    with pytest.raises(ValueError, match=f"^window {k} and stride {stride} do not tile a {h}x{h} map$"):
+                        pool_spatial(f, k, stride)
+                    refused += 1
                     continue
                 moved = act_on_feature_stack(spec.elements(), pool_spatial(f, k, stride))
                 for copy, expected in zip(acted, moved):
                     assert_array_equal(pool_spatial(feature_map(spec, rep, copy), k, stride).data, expected)
                     cases += 1
-    assert cases == 12 * 57  # 57 unpadded (h, k, stride), 4 + 8 elements
+    assert (cases, refused) == (12 * 124, 2 * 61)  # 124 tiling (h, k, stride), 4 + 8 elements
 
 
 def test_pool_spatial_commutes_with_channel_permutation():
@@ -307,6 +311,37 @@ def test_pool_spatial_commutes_with_channel_permutation():
     a = pool_spatial(feature_map(c4, regular_rep(c4), data[perm]), 3, 1)
     b = pool_spatial(f, 3, 1)
     assert_array_equal(a.data, b.data[perm])
+
+
+@pytest.mark.parametrize("name, exact_count", [("c4", 4), ("d4", 8), ("d8", 8)])
+def test_strided_stack_commutes_with_every_exact_element(name, exact_count):
+    # the benchmark's forward-stack layout with S = 3 kernels, 31 -> 15 -> 7:
+    # every pool's windows tile its map, so the stack commutes with each
+    # element exact on all three grids; at side 30 the first pool refuses its
+    # map rather than pool it off-centre
+    spec = parse_group(name)
+    rng = np.random.default_rng(12)
+    reg = regular_rep(spec)
+    first = steerable_kernel(trivial_rep(spec), [rng.uniform(-1, 1, (3, 3))])
+    second, third = (
+        steerable_kernel(reg, [rng.uniform(-1, 1, (3, 3)) for _ in input_blocks(reg)]) for _ in range(2)
+    )
+
+    def forward(f):
+        y = pool_spatial(relu_channelwise(conv2d(first, f)), 3, 2)
+        y = pool_spatial(relu_channelwise(conv2d(second, y)), 3, 2)
+        return group_pool(conv2d(third, y))
+
+    f = feature_map(spec, trivial_rep(spec), rng.uniform(-1, 1, (2, 31, 31)))
+    out = forward(f)
+    assert out.data.shape == (2, 7, 7)
+    exact = set.intersection(*(set(exact_indices(spec, side, "bilinear")) for side in (31, 15, 7)))
+    assert len(exact) == exact_count
+    for g in (g for g in spec.elements() if g.index in exact):
+        residual = np.abs(forward(act_on_feature(g, f)).data - act_on_feature(g, out).data).max()
+        assert residual <= FEATURE_TOL, (g, residual)
+    with pytest.raises(ValueError, match="^window 3 and stride 2 do not tile a 30x30 map$"):
+        forward(feature_map(spec, trivial_rep(spec), rng.uniform(-1, 1, (2, 30, 30))))
 
 
 def loop_conv2d(grids, data):
@@ -325,22 +360,33 @@ def loop_conv2d(grids, data):
 
 
 def loop_pool(data, k, stride):
-    """Per-pixel max over k x k windows at the given stride; windows that run
-    past the bottom or right edge read zeros."""
+    """Per-pixel max over k x k windows at the given stride, on a map that
+    they tile."""
     c, h, w = data.shape
-    oh = 1 + max(0, -(-(h - k) // stride))
-    ow = 1 + max(0, -(-(w - k) // stride))
+    oh, ow = 1 + (h - k) // stride, 1 + (w - k) // stride
     out = np.empty((c, oh, ow))
     for ch in range(c):
         for r in range(oh):
             for col in range(ow):
                 window = [
-                    data[ch, y, x] if y < h and x < w else 0.0
+                    data[ch, y, x]
                     for y in range(r * stride, r * stride + k)
                     for x in range(col * stride, col * stride + k)
                 ]
                 out[ch, r, col] = max(window)
     return out
+
+
+def pool_or_refusal(f, k, stride):
+    """The pooled map where the windows tile the map; else None, once the
+    pool has raised with the message that names k, stride and the sides."""
+    h, w = f.height, f.width
+    if min(h, w) >= k and (h - k) % stride == 0 and (w - k) % stride == 0:
+        return pool_spatial(f, k, stride)
+    message = f"^window {k} and stride {stride} do not tile a {h}x{w} map$"
+    with pytest.raises(ValueError, match=message):
+        pool_spatial(f, k, stride)
+    return None
 
 
 @pytest.mark.parametrize(
@@ -380,11 +426,13 @@ def test_conv_matches_per_pixel_loop(rep_in, rep_out, m, s, h, w):
 def test_pool_spatial_matches_per_pixel_loop(k, stride, h, w, sign):
     c4 = cyclic_group(4)
     rng = np.random.default_rng(h * 10 + w)
-    # sign -1 makes every input negative, so zero padding wins wherever it is read
+    # sign -1 makes every input negative, so a zero read past the edge would win
     data = sign * rng.uniform(0.1, 1.0, (4, h, w))
-    out = pool_spatial(feature_map(c4, regular_rep(c4), data), k, stride)
-    assert out.rep == regular_rep(c4)
-    assert_array_equal(out.data, loop_pool(data, k, stride))
+    f = feature_map(c4, regular_rep(c4), data)
+    out = pool_or_refusal(f, k, stride)
+    if out is not None:
+        assert out.rep == regular_rep(c4)
+        assert_array_equal(out.data, loop_pool(data, k, stride))
 
 
 @settings(max_examples=60, deadline=None)
@@ -396,13 +444,19 @@ def test_pool_spatial_matches_per_pixel_loop(k, stride, h, w, sign):
     stride=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
+# windows that tile at strides 2 and 3, in non-square maps
+@example(c=3, h=8, w=6, k=2, stride=2, seed=0)
+@example(c=2, h=9, w=7, k=3, stride=2, seed=1)
+@example(c=1, h=8, w=5, k=2, stride=3, seed=2)
+@example(c=4, h=12, w=9, k=3, stride=3, seed=3)
 def test_pool_spatial_property_matches_loop(c, h, w, k, stride, seed):
-    # all-negative inputs: zero padding wins wherever a window reads it, so a
-    # missed or misplaced pad shows, and maps with and without padding occur
+    # all-negative inputs: a zero read past the edge would win wherever a
+    # window read it, and maps that the windows tile and do not tile occur
     data = -np.random.default_rng(seed).uniform(1e-3, 1.0, (c, h, w))
     c1 = cyclic_group(1)
-    out = pool_spatial(feature_map(c1, trivial_rep(c1), data), k, stride)
-    assert_array_equal(out.data, loop_pool(data, k, stride))
+    out = pool_or_refusal(feature_map(c1, trivial_rep(c1), data), k, stride)
+    if out is not None:
+        assert_array_equal(out.data, loop_pool(data, k, stride))
 
 
 @settings(max_examples=40, deadline=None)
