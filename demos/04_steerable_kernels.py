@@ -26,8 +26,7 @@ rng = np.random.default_rng(0)
 
 
 def worst_residual(kernel):
-    spec = kernel.group
-    return max(a for a, _ in check_kernel_elements(kernel, spec.elements()))
+    return max(a for a, _ in check_kernel_elements(kernel, kernel.rep_in.spec.elements()))
 
 
 base = rng.uniform(-1.0, 1.0, (3, 3))

@@ -57,8 +57,13 @@ def _irrep_in(spec: GroupSpec, j: int, k: int) -> RepSpec:
         return irrep(spec, j, k)
 
 
-def _comma_list(text: str) -> list[str]:
-    return [item for item in (part.strip() for part in text.split(",")) if item]
+def _comma_list(option: str, text: str) -> list[str]:
+    """The comma-separated items given to option, stripped of blank space.
+    An empty item is an error, so an empty list is one too; a repeated item is kept."""
+    items = [item.strip() for item in text.split(",")]
+    if "" in items:
+        raise ValueError(f"{option}: empty item in the comma-separated list {text!r}")
+    return items
 
 
 def _integer(text: str) -> int:
@@ -156,10 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    lists = {option: _comma_list(getattr(args, option)) for option in ("group", "size", "mode")}
-    for option, items in lists.items():
-        if not items:
-            raise ValueError(f"--{option} names no values; the suite would check nothing")
+    lists = {option: _comma_list(f"--{option}", getattr(args, option)) for option in ("group", "size", "mode")}
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     groups = tuple(parse_group(name) for name in lists["group"])
@@ -214,7 +216,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     # a malformed file's message already starts with its path
     with _naming("--base", OSError):
-        bases = [read_filter_csv(path) for path in _comma_list(args.base)]
+        bases = [read_filter_csv(path) for path in _comma_list("--base", args.base)]
     count = _write_grids(out, _build_kernel(args, spec, bases).grids, args.format)
     print(f"wrote {count} grids to {out}")
     return 0
@@ -226,8 +228,8 @@ def _matrix_lines(m: np.ndarray) -> list[str]:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     spec = parse_group(args.group)
-    parts = [part.strip() for part in args.element.split(",")]
-    if len(parts) != 2 or "" in parts:
+    parts = _comma_list("--element", args.element)
+    if len(parts) != 2:
         raise ValueError(f"--element expects i0,i1, got {args.element!r}")
     i0, i1 = (_element_index(part) for part in parts)
     try:

@@ -27,8 +27,8 @@ row slices into a (C, out_h, W) buffer, then k over its strided column
 slices.  Its windows must tile the map (H, W >= k, with the stride dividing
 H - k and W - k), so their lattice is centred; else it raises `ValueError`.
 
-Finiteness of a caller's data is checked where it enters the library, in
-`feature_map`.  `FeatureMap` does not scan its data, so maps
+`feature_map` checks a caller's group and that its data are real and finite,
+where they enter the library.  `FeatureMap` does not scan its data, so maps
 computed inside the library are not scanned again; an overflow there shows
 as inf or nan, which the harness reports as an infinite residual.
 """
@@ -57,13 +57,10 @@ COLUMN_TILE = 1 << 16
 
 @dataclass(frozen=True)
 class FeatureMap:
-    group: GroupSpec
     rep: RepSpec
     data: np.ndarray  # (C, H, W), C = multiplicity * rep.dim
 
     def __post_init__(self) -> None:
-        if self.rep.spec != self.group:
-            raise ValueError("feature representation must live on the feature's group")
         if self.data.ndim != 3:
             raise ValueError(f"feature data must be C x H x W, got shape {self.data.shape}")
         if self.data.shape[0] % self.rep.dim != 0 or self.data.shape[0] == 0:
@@ -91,19 +88,24 @@ class FeatureMap:
 
 
 def feature_map(group: GroupSpec, rep: RepSpec, data: np.ndarray) -> FeatureMap:
-    """A feature map over a copy of `data`, which must be finite."""
+    """A feature map of `rep`, which must live on `group`, over a copy of
+    `data`, which must be real and finite."""
+    if rep.spec != group:
+        raise ValueError("feature representation must live on the feature's group")
+    if np.iscomplexobj(data):
+        raise ValueError("feature map must be real, got complex values")
     data = np.array(data, dtype=float)
     if not np.isfinite(data).all():
         raise ValueError("feature map contains non-finite values")
-    return FeatureMap(group, rep, data)
+    return FeatureMap(rep, data)
 
 
 def _correlate(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
     """Valid cross-correlation of the feature map with the kernel at stride
     1: the output has H - S + 1 rows and W - S + 1 columns, reads the map
     alone and carries the kernel's output representation."""
-    if f.group != kernel.group:
-        raise ValueError(f"feature group {f.group.name} != kernel group {kernel.group.name}")
+    if f.rep.spec != kernel.rep_in.spec:
+        raise ValueError(f"feature group {f.rep.spec.name} != kernel group {kernel.rep_in.spec.name}")
     if f.rep != kernel.rep_in:
         raise ValueError(f"feature rep {f.rep.label()} != kernel input rep {kernel.rep_in.label()}")
     s = kernel.size
@@ -125,7 +127,7 @@ def _correlate(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
             columns = buffer[: k * band * ow].reshape(k, band * ow)
             np.copyto(columns.reshape(di, s, s, band, ow), windows[b, :, :, :, y : y + band])
             np.matmul(weights, columns, out=out[b, :, y * ow : (y + band) * ow])
-    return FeatureMap(f.group, kernel.rep_out, out.reshape(m * do, oh, ow))
+    return FeatureMap(kernel.rep_out, out.reshape(m * do, oh, ow))
 
 
 def conv2d(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
@@ -137,7 +139,7 @@ def conv2d(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
         raise ValueError(f"spatial size {f.height}x{f.width} smaller than the kernel size {s}")
     pad = s // 2
     padded = np.pad(f.data, ((0, 0), (pad, pad), (pad, pad)))
-    return _correlate(kernel, FeatureMap(f.group, f.rep, padded))
+    return _correlate(kernel, FeatureMap(f.rep, padded))
 
 
 def act_on_feature_stack(
@@ -152,22 +154,20 @@ def act_on_feature_stack(
     every kind of representation.  Each copy equals `act_on_feature(g, f,
     mode)` bit for bit.
     """
-    for g in elements:
-        if g.spec != f.group:
-            raise ValueError(f"element of {g.spec.name} acting on a {f.group.name} feature")
-    n, m, d = len(elements), f.multiplicity, f.rep.dim
-    maps = coordinate_table(f.group)[inverse_indices(f.group, [g.index for g in elements])]
+    n, m, d, spec = len(elements), f.multiplicity, f.rep.dim, f.rep.spec
+    # first: the representation rejects an element of another group
+    rho = np.array([f.rep.matrix(g) for g in elements]).reshape(n, d, d)
+    maps = coordinate_table(spec)[inverse_indices(spec, [g.index for g in elements])]
     # (C, n, H, W) from the gather; each copy's blocks made contiguous
     moved = sample_plane(f.data, maps, mode).swapaxes(0, 1)
     moved = np.ascontiguousarray(moved).reshape(n, m, d, f.height * f.width)
-    rho = np.array([f.rep.matrix(g) for g in elements]).reshape(n, d, d)
     return (rho[:, None] @ moved).reshape(n, *f.data.shape)
 
 
 def act_on_feature(g: GroupElement, f: FeatureMap, mode: str = "bilinear") -> FeatureMap:
     """Group action on a feature map: resample each channel at the coordinates
     moved by g's inverse, then mix channel blocks by the representation of g."""
-    return FeatureMap(f.group, f.rep, act_on_feature_stack([g], f, mode)[0])
+    return FeatureMap(f.rep, act_on_feature_stack([g], f, mode)[0])
 
 
 def _check_channelwise(f: FeatureMap, op: str) -> None:
@@ -179,7 +179,7 @@ def _check_channelwise(f: FeatureMap, op: str) -> None:
 def relu_channelwise(f: FeatureMap) -> FeatureMap:
     """Elementwise max(0, v).  Rejects irrep features."""
     _check_channelwise(f, "channel-wise relu")
-    return FeatureMap(f.group, f.rep, np.maximum(f.data, 0.0))
+    return FeatureMap(f.rep, np.maximum(f.data, 0.0))
 
 
 def group_pool(f: FeatureMap) -> FeatureMap:
@@ -188,7 +188,7 @@ def group_pool(f: FeatureMap) -> FeatureMap:
     if f.rep.kind != "regular":
         raise ValueError(f"group pooling needs a regular-representation feature, got {f.rep.label()}")
     pooled = f.blocks().max(axis=1)
-    return FeatureMap(f.group, trivial_rep(f.group), pooled)
+    return FeatureMap(trivial_rep(f.rep.spec), pooled)
 
 
 def pool_spatial(f: FeatureMap, k: int, stride: int) -> FeatureMap:
@@ -209,4 +209,4 @@ def pool_spatial(f: FeatureMap, k: int, stride: int) -> FeatureMap:
     out = rows[:, :, :span_w:stride].copy()
     for v in range(1, k):
         np.maximum(out, rows[:, :, v : v + span_w : stride], out=out)
-    return FeatureMap(f.group, f.rep, out)
+    return FeatureMap(f.rep, out)

@@ -59,6 +59,8 @@ def check_mode(mode: str) -> str:
 
 
 def check_filter_grid(values: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(values):
+        raise ValueError("filter grid must be real, got complex values")
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError(f"filter grid must be square, got shape {values.shape}")

@@ -83,7 +83,7 @@ def check_kernel_elements(
         part = elements[start : start + chunk]
         rho_out = np.array([kernel.rep_out.matrix(g) for g in part])
         rho_in = np.array([kernel.rep_in.matrix(g) for g in part])
-        maps = coordinate_table(kernel.group)[[g.index for g in part]]
+        maps = coordinate_table(kernel.rep_in.spec)[[g.index for g in part]]
         results += _steer_residuals(kernel, maps, rho_out, rho_in)
     return results
 
@@ -148,7 +148,7 @@ def check_feature_equivariance(
     n, (c, h, w) = len(elements), f.data.shape
     acted = act_on_feature_stack(elements, f, mode)
     # two calls: one over f and its copies would first concatenate them
-    acted_first = _correlate(kernel, FeatureMap(f.group, f.rep, acted.reshape(n * c, h, w))).data
+    acted_first = _correlate(kernel, FeatureMap(f.rep, acted.reshape(n * c, h, w))).data
     acted_last = act_on_feature_stack(elements, _correlate(kernel, f), mode)
     diff = np.abs(acted_first.reshape(acted_last.shape) - acted_last).reshape(n, -1).max(axis=1)
     scale = np.abs(acted_last).reshape(n, -1).max(axis=1)
@@ -244,7 +244,7 @@ def check_family(label: str, kernel: SteerableKernel, f: FeatureMap) -> Equivari
     and f's grid."""
     if f.height != f.width:
         raise ValueError(f"feature map must be square, got spatial shape {f.height}x{f.width}")
-    group, size, mode = kernel.group, kernel.size, kernel.mode
+    group, size, mode = kernel.rep_in.spec, kernel.size, kernel.mode
     elements = group.elements()
     exact = exact_indices(group, size, mode)
     per_element = tuple((g, *res) for g, res in zip(elements, check_kernel_elements(kernel, elements)))
@@ -275,7 +275,7 @@ def run_suite(
                 for label, kernel in kernel_families(group, size, mode, rng):
                     shape = (kernel.rep_in.dim, FEATURE_SIDE, FEATURE_SIDE)
                     fdata = rng.uniform(-1.0, 1.0, shape)
-                    reports.append(check_family(label, kernel, FeatureMap(group, kernel.rep_in, fdata)))
+                    reports.append(check_family(label, kernel, FeatureMap(kernel.rep_in, fdata)))
     return reports
 
 

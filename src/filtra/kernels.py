@@ -1,5 +1,5 @@
 """Steerable kernels built by filter transform: (dim_out, dim_in, S, S) grid
-matrices tagged with their input and output representations.
+matrices tagged with their input and output representations, on one group.
 
 Every filter-transform kernel comes from `steerable_kernel`, keyed on the
 input representation and always mapping to the regular one:
@@ -27,15 +27,14 @@ from .representations import RepSpec, group_dct_basis, irrep, regular_rep, trivi
 
 @dataclass(frozen=True)
 class SteerableKernel:
-    group: GroupSpec
     rep_in: RepSpec
     rep_out: RepSpec
     grids: np.ndarray  # (dim_out, dim_in, S, S)
     mode: str
 
     def __post_init__(self) -> None:
-        if self.rep_in.spec != self.group or self.rep_out.spec != self.group:
-            raise ValueError("kernel representations must live on the kernel's group")
+        if self.rep_out.spec != self.rep_in.spec:
+            raise ValueError("kernel representations must live on one group")
         do, di, s1, s2 = self.grids.shape
         if (do, di) != (self.rep_out.dim, self.rep_in.dim):
             raise ValueError(
@@ -97,7 +96,7 @@ def steerable_kernel(
         raise ValueError(f"base filters must share one size, got sides {sorted(sizes)}")
     # a generator: each stack is freed once its block is scaled
     grids = assemble_grids(rep_in, (filter_transform(b, spec, mode) for b in bases))
-    return SteerableKernel(spec, rep_in, regular_rep(spec), grids, mode)
+    return SteerableKernel(rep_in, regular_rep(spec), grids, mode)
 
 
 def trivial_to_regular_dihedral(base: np.ndarray, n: int, mode: str = "bilinear") -> SteerableKernel:
@@ -121,7 +120,7 @@ def reverse_kernel(kernel: SteerableKernel) -> SteerableKernel:
     kernel steers the reversed direction.
     """
     grids = np.ascontiguousarray(np.transpose(kernel.grids, (1, 0, 2, 3)))
-    return SteerableKernel(kernel.group, kernel.rep_out, kernel.rep_in, grids, kernel.mode)
+    return SteerableKernel(kernel.rep_out, kernel.rep_in, grids, kernel.mode)
 
 
 def circulant_kernel(base: np.ndarray, n: int, mode: str = "bilinear") -> SteerableKernel:
@@ -135,7 +134,7 @@ def circulant_kernel(base: np.ndarray, n: int, mode: str = "bilinear") -> Steera
     spec = cyclic_group(n)
     stack = filter_transform(base, spec, mode)
     idx = (2 * np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return SteerableKernel(spec, regular_rep(spec), regular_rep(spec), stack[idx], mode)
+    return SteerableKernel(regular_rep(spec), regular_rep(spec), stack[idx], mode)
 
 
 CAPACITY_KINDS = ("reg2reg", "orn")

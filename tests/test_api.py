@@ -1,8 +1,10 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
 import re
+import typing
 from pathlib import Path
 
 import filtra
@@ -107,6 +109,32 @@ def test_benchmark_entry_points_resolve():
         except (AttributeError, ImportError):
             unresolved.append(chain)
     assert unresolved == []
+
+
+def test_no_dataclass_restates_its_representations_group():
+    """A representation fixes its group, so no dataclass holds a group beside
+    one: a kernel is its two representations, its grids and its mode, and a
+    feature map its representation and its data."""
+    modules = [importlib.import_module(f"filtra.{info.name}") for info in pkgutil.iter_modules(filtra.__path__)]
+    classes = [
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+    ]
+    assert {filtra.SteerableKernel, filtra.FeatureMap, filtra.RepSpec, filtra.GroupSpec} <= set(classes)
+    both = [
+        cls.__name__
+        for cls in classes
+        if {filtra.RepSpec, filtra.GroupSpec} <= set(typing.get_type_hints(cls).values())
+    ]
+    assert both == []
+
+    def names(cls):
+        return tuple(field.name for field in dataclasses.fields(cls))
+
+    assert names(filtra.SteerableKernel) == ("rep_in", "rep_out", "grids", "mode")
+    assert names(filtra.FeatureMap) == ("rep", "data")
 
 
 def test_benchmark_forward_stack_runs_one_image():

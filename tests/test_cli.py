@@ -101,6 +101,16 @@ def test_verify_empty_option_is_usage_error(option, value, capsys):
     assert "PASS" not in captured.out
 
 
+def test_verify_keeps_repeated_items(capsys):
+    # an empty item is an error, but a repeated one is a second run of its suite
+    assert main(["verify", "--group", "c2", "--size", "1"]) == 0
+    once = capsys.readouterr().out.splitlines()
+    assert main(["verify", "--group", "c2, c2", "--size", "1,1"]) == 0
+    twice = capsys.readouterr().out.splitlines()
+    assert len(twice) - 1 == 4 * (len(once) - 1) > 0
+    assert twice[-1] == "PASS"
+
+
 def test_import_does_not_load_scipy():
     src = str(Path(filtra.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -205,10 +215,19 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
         (["verify", "--group", "c4", "--size", "1_5"], "--size must be a positive odd integer, got 1_5"),
         (["decompose", "--group", "c4", "--element", "\u0660,\u0661"],
          "--element expects two integers i0,i1, got '\u0660'"),
-        # an empty item is not dropped, so each of these is three parts, not two
-        (["decompose", "--group", "c4", "--element", ",0,1"], "--element expects i0,i1, got ',0,1'"),
-        (["decompose", "--group", "c4", "--element", "0,,1"], "--element expects i0,i1, got '0,,1'"),
-        (["decompose", "--group", "c4", "--element", "0,1,"], "--element expects i0,i1, got '0,1,'"),
+        # an empty item in a comma-separated list is an error, not dropped
+        (["decompose", "--group", "c4", "--element", ",0,1"],
+         "--element: empty item in the comma-separated list ',0,1'"),
+        (["decompose", "--group", "c4", "--element", "0,,1"],
+         "--element: empty item in the comma-separated list '0,,1'"),
+        (["decompose", "--group", "c4", "--element", "0,1,"],
+         "--element: empty item in the comma-separated list '0,1,'"),
+        (["verify", "--group", "c2,,c2"], "--group: empty item in the comma-separated list 'c2,,c2'"),
+        (["verify", "--group", "c2", "--size", "3,"], "--size: empty item in the comma-separated list '3,'"),
+        (["verify", "--group", "c2", "--mode", " ,nearest"],
+         "--mode: empty item in the comma-separated list ' ,nearest'"),
+        (["gen", "--group", "c8", "--kind", "orn", "--base", "{base},"],
+         "--base: empty item in the comma-separated list '{base},'"),
     ],
     ids=["gen-k", "gen-j", "gen-cyclic-j", "gen-base-count", "verify-mode", "demo-k", "demo-j",
          "gen-triv2reg-j-k", "gen-triv2reg-j", "gen-reg2reg-k", "gen-orn-k", "gen-orn-dihedral-j",
@@ -216,7 +235,8 @@ def test_gen_requires_k(base_csv, tmp_path, capsys):
          "gen-base-missing", "capacity-dihedral", "demo-out-file", "gen-base-not-utf8", "demo-image-not-utf8",
          "gen-out-empty", "demo-out-empty", "verify-report-empty", "verify-group-non-ascii-digit",
          "capacity-size-non-ascii-digit", "verify-size-underscore", "decompose-element-non-ascii-digits",
-         "decompose-element-leading-comma", "decompose-element-empty-middle", "decompose-element-trailing-comma"],
+         "decompose-element-leading-comma", "decompose-element-empty-middle", "decompose-element-trailing-comma",
+         "verify-group-empty-item", "verify-size-trailing-comma", "verify-mode-blank-item", "gen-base-trailing-comma"],
 )
 def test_parameter_errors_name_the_option(argv, message, base_csv, tmp_path, capsys, monkeypatch):
     latin1 = tmp_path / "latin1.csv"

@@ -26,15 +26,11 @@ from filtra.representations import irrep, regular_rep, trivial_rep
 
 
 def identity_kernel(spec):
-    return SteerableKernel(
-        spec, trivial_rep(spec), trivial_rep(spec), np.ones((1, 1, 1, 1)), "bilinear"
-    )
+    return SteerableKernel(trivial_rep(spec), trivial_rep(spec), np.ones((1, 1, 1, 1)), "bilinear")
 
 
 def averaging_kernel(spec):
-    return SteerableKernel(
-        spec, trivial_rep(spec), trivial_rep(spec), np.full((1, 1, 3, 3), 1.0 / 9.0), "bilinear"
-    )
+    return SteerableKernel(trivial_rep(spec), trivial_rep(spec), np.full((1, 1, 3, 3), 1.0 / 9.0), "bilinear")
 
 
 def test_feature_map_validation():
@@ -52,13 +48,17 @@ def test_feature_map_validation():
         feature_map(c4, regular_rep(dihedral_group(4)), np.zeros((8, 5, 5)))
     with pytest.raises(ValueError, match=r"^feature data must be C x H x W, got shape \(5, 5\)$"):
         feature_map(c4, trivial_rep(c4), np.zeros((5, 5)))
+    # a cast to float would keep the real part, 1.0, and only warn
+    c1 = cyclic_group(1)
+    with pytest.raises(ValueError, match="^feature map must be real, got complex values$"):
+        feature_map(c1, trivial_rep(c1), np.full((1, 3, 3), 1 + 2j))
 
 
 def test_intermediate_maps_are_not_scanned():
     # finiteness is checked where data enters (feature_map);
     # a conv that overflows returns inf instead of raising
     c4 = cyclic_group(4)
-    kernel = SteerableKernel(c4, trivial_rep(c4), trivial_rep(c4), np.full((1, 1, 3, 3), 2.0), "bilinear")
+    kernel = SteerableKernel(trivial_rep(c4), trivial_rep(c4), np.full((1, 1, 3, 3), 2.0), "bilinear")
     with np.errstate(over="ignore"):
         out = conv2d(kernel, feature_map(c4, trivial_rep(c4), np.full((1, 5, 5), 1e308)))
     assert np.isposinf(out.data).all()
@@ -76,7 +76,7 @@ def test_conv_constant_interior():
     c4 = cyclic_group(4)
     rng = np.random.default_rng(1)
     grids = rng.uniform(-1, 1, (4, 1, 3, 3))
-    kernel = SteerableKernel(c4, trivial_rep(c4), regular_rep(c4), grids, "bilinear")
+    kernel = SteerableKernel(trivial_rep(c4), regular_rep(c4), grids, "bilinear")
     f = feature_map(c4, trivial_rep(c4), np.full((1, 9, 9), 2.0))
     out = conv2d(kernel, f)
     for o in range(4):
@@ -96,14 +96,16 @@ def test_conv_impulse_plateau():
 def test_conv_errors():
     c4 = cyclic_group(4)
     f = feature_map(c4, regular_rep(c4), np.zeros((4, 5, 5)))
-    with pytest.raises(ValueError):
-        conv2d(identity_kernel(c4), f)  # rep mismatch
+    with pytest.raises(ValueError, match="^feature rep regular != kernel input rep trivial$"):
+        conv2d(identity_kernel(c4), f)
     small = feature_map(c4, trivial_rep(c4), np.zeros((1, 2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^spatial size 2x2 smaller than the kernel size 3$"):
         conv2d(averaging_kernel(c4), small)
     d4 = dihedral_group(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^feature group c4 != kernel group d4$"):
         conv2d(identity_kernel(d4), feature_map(c4, trivial_rep(c4), np.zeros((1, 5, 5))))
+    with pytest.raises(ValueError, match="^feature group d4 != kernel group c4$"):
+        conv2d(identity_kernel(c4), feature_map(d4, trivial_rep(d4), np.zeros((1, 5, 5))))
 
 
 def test_conv_linearity():
@@ -185,8 +187,11 @@ def test_stacked_action_edge_cases():
     c4, d4 = cyclic_group(4), dihedral_group(4)
     f = feature_map(c4, regular_rep(c4), np.ones((4, 5, 5)))
     assert act_on_feature_stack([], f).shape == (0, 4, 5, 5)
-    with pytest.raises(ValueError, match="acting on"):
-        act_on_feature_stack([c4.identity(), d4.identity()], f)
+    # the representation rejects another group's element before any table is indexed:
+    # (1, 3) is index 7 of d4, past the end of c4's tables
+    for stranger in (d4.identity(), d4.element(1, 3)):
+        with pytest.raises(ValueError, match="^element of d4 fed to a c4 representation$"):
+            act_on_feature_stack([c4.identity(), stranger], f)
     with pytest.raises(ValueError, match="interpolation mode"):
         act_on_feature_stack([c4.identity()], f, "bicubic")
 
@@ -412,7 +417,7 @@ def test_conv_matches_per_pixel_loop(rep_in, rep_out, m, s, h, w):
     rin, rout = reps[rep_in], reps[rep_out]
     rng = np.random.default_rng(s * 100 + m * 10 + h)
     grids = rng.uniform(-1, 1, (rout.dim, rin.dim, s, s))
-    kernel = SteerableKernel(d4, rin, rout, grids, "bilinear")
+    kernel = SteerableKernel(rin, rout, grids, "bilinear")
     data = rng.uniform(-1, 1, (m * rin.dim, h, w))
     out = conv2d(kernel, feature_map(d4, rin, data))
     assert out.rep == rout
@@ -477,7 +482,7 @@ def test_conv_property_matches_loop_and_is_linear(reps, m, s, dh, dw, tile, seed
     rin, rout = by_name[reps[0]], by_name[reps[1]]
     rng = np.random.default_rng(seed)
     grids = rng.uniform(-1, 1, (rout.dim, rin.dim, s, s))
-    kernel = SteerableKernel(d2, rin, rout, grids, "bilinear")
+    kernel = SteerableKernel(rin, rout, grids, "bilinear")
     x, y = rng.uniform(-1, 1, (2, m * rin.dim, s + dh, s + dw))
     a, b = rng.uniform(-2, 2, 2)
     # small tiles split even these maps into bands of a few rows
@@ -505,7 +510,7 @@ def test_valid_correlation_is_the_interior_crop_of_conv(reps, m, s, dh, dw, tile
     rin, rout = by_name[reps[0]], by_name[reps[1]]
     h, w = s + min(dh, 17 - s), s + min(dw, 17 - s)
     rng = np.random.default_rng(seed)
-    kernel = SteerableKernel(d4, rin, rout, rng.uniform(-1, 1, (rout.dim, rin.dim, s, s)), "bilinear")
+    kernel = SteerableKernel(rin, rout, rng.uniform(-1, 1, (rout.dim, rin.dim, s, s)), "bilinear")
     f = feature_map(d4, rin, rng.uniform(-1, 1, (m * rin.dim, h, w)))
     r = s // 2
     with mock.patch.object(features, "COLUMN_TILE", tile):

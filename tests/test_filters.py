@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from filtra import filters
+from filtra.fileio import write_filter_csv
 from filtra.filters import (
     TAP_CACHE_PIXELS,
     _build_taps,
@@ -23,6 +24,8 @@ from filtra.filters import (
     sample_plane,
 )
 from filtra.groups import cyclic_group, dihedral_group, product_indices
+from filtra.kernels import circulant_kernel, steerable_kernel
+from filtra.representations import trivial_rep
 
 GRID3 = np.arange(1.0, 10.0).reshape(3, 3)
 
@@ -49,6 +52,25 @@ def test_grid_validation():
         filter_transform(GRID3, cyclic_group(4), "bicubic")
     with pytest.raises(ValueError):
         filter_transform(np.zeros((3, 5)), dihedral_group(4), "bilinear")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda grid, tmp: filter_transform(grid, cyclic_group(4), "bilinear"),
+        lambda grid, tmp: steerable_kernel(trivial_rep(cyclic_group(4)), [grid]),
+        lambda grid, tmp: circulant_kernel(grid, 4),
+        lambda grid, tmp: write_filter_csv(tmp / "grid.csv", grid),
+    ],
+    ids=["filter_transform", "steerable_kernel", "circulant_kernel", "write_filter_csv"],
+)
+def test_complex_filter_grids_are_rejected(entry, tmp_path):
+    # a cast to float would keep the real part and only warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^filter grid must be real, got complex values$"):
+            entry(GRID3 + 2j, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rotation_cos_sin_snaps_quarter_turns():

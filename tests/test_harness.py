@@ -53,7 +53,7 @@ def test_overflowing_feature_check_fails_the_report():
     # 2.0 * 1e308 overflows in conv2d on both sides, so their difference is
     # nan; the report must not read that as a zero residual
     c4 = cyclic_group(4)
-    kernel = SteerableKernel(c4, trivial_rep(c4), trivial_rep(c4), np.full((1, 1, 3, 3), 2.0), "bilinear")
+    kernel = SteerableKernel(trivial_rep(c4), trivial_rep(c4), np.full((1, 1, 3, 3), 2.0), "bilinear")
     f = feature_map(c4, trivial_rep(c4), np.full((1, 15, 15), 1e308))
     with np.errstate(over="ignore", invalid="ignore"):
         assert check_feature_equivariance(kernel, f, [c4.element(0, 1)]) == [(math.inf, math.inf)]
@@ -68,7 +68,7 @@ def test_overflowing_kernel_check_fails_the_report():
     # overflow the conjugated kernel to inf, and inf * 0 to nan
     c8 = cyclic_group(8)
     psi = irrep(c8, 0, 1)
-    kernel = SteerableKernel(c8, psi, psi, np.full((2, 2, 3, 3), 1.7e308), "nearest")
+    kernel = SteerableKernel(psi, psi, np.full((2, 2, 3, 3), 1.7e308), "nearest")
     g = c8.element(0, 1)
     assert is_exact_element(g, 3, "nearest")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -118,7 +118,7 @@ def _feature_check_on_full_maps(kernel, f, elements):
     interior crop of both sides."""
     n, (c, h, w) = len(elements), f.data.shape
     acted = act_on_feature_stack(elements, f, kernel.mode)
-    first = conv2d(kernel, FeatureMap(f.group, f.rep, acted.reshape(n * c, h, w))).data
+    first = conv2d(kernel, FeatureMap(f.rep, acted.reshape(n * c, h, w))).data
     last = act_on_feature_stack(elements, conv2d(kernel, f), kernel.mode)
     m = kernel.size // 2
     crop = (slice(None), slice(m, h - m), slice(m, w - m))
@@ -153,7 +153,7 @@ def test_feature_check_fails_a_kernel_that_does_not_steer(group, rep_in, size, s
     rng = np.random.default_rng(seed)
     rin = trivial_rep(group) if rep_in == "trivial" else regular_rep(group)
     grids = rng.uniform(-1, 1, (group.order, rin.dim, size, size))
-    kernel = SteerableKernel(group, rin, regular_rep(group), grids, mode)
+    kernel = SteerableKernel(rin, regular_rep(group), grids, mode)
     f = feature_map(group, rin, rng.uniform(-1, 1, (rin.dim, FEATURE_SIDE, FEATURE_SIDE)))
     elements = group.elements()
     results = check_feature_equivariance(kernel, f, elements)

@@ -201,12 +201,14 @@ def test_capacity_report_rejects_kernels_that_cannot_exist(n, size, kind, name):
 
 def test_steerable_kernel_validation():
     c4, d4 = cyclic_group(4), dihedral_group(4)
-    with pytest.raises(ValueError, match="^kernel representations must live on the kernel's group$"):
-        SteerableKernel(c4, trivial_rep(d4), regular_rep(c4), np.zeros((4, 1, 3, 3)), "bilinear")
+    # either side on another group, with grid shapes that fit the dims
+    for rep_in, rep_out in ((trivial_rep(d4), regular_rep(c4)), (trivial_rep(c4), regular_rep(d4))):
+        with pytest.raises(ValueError, match="^kernel representations must live on one group$"):
+            SteerableKernel(rep_in, rep_out, np.zeros((rep_out.dim, 1, 3, 3)), "bilinear")
     with pytest.raises(ValueError, match="^grid matrix is 4x2, expected 4x1$"):
-        SteerableKernel(c4, trivial_rep(c4), regular_rep(c4), np.zeros((4, 2, 3, 3)), "bilinear")
+        SteerableKernel(trivial_rep(c4), regular_rep(c4), np.zeros((4, 2, 3, 3)), "bilinear")
     for shape in ((4, 1, 4, 4), (4, 1, 3, 5)):
         with pytest.raises(ValueError, match="^filter grids must be square with odd side, got"):
-            SteerableKernel(c4, trivial_rep(c4), regular_rep(c4), np.zeros(shape), "bilinear")
+            SteerableKernel(trivial_rep(c4), regular_rep(c4), np.zeros(shape), "bilinear")
     with pytest.raises(ValueError, match=r"^base filters must share one size, got sides \[3, 5\]$"):
         steerable_kernel(regular_rep(c4), [BASE, np.zeros((5, 5)), BASE], "bilinear")
