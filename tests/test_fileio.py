@@ -1,5 +1,6 @@
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,23 +116,41 @@ def test_filter_csv_reads_past_a_byte_order_mark(tmp_path):
         assert str(info.value) == f"{path}:{message}"
 
 
-@pytest.mark.parametrize("read", [read_filter_csv])
-def test_non_utf8_file_error_names_the_file(tmp_path, read):
+def test_non_utf8_file_error_names_the_file(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"\xff\xfeS=3\n")
     with pytest.raises(ValueError) as info:
-        read(path)
+        read_filter_csv(path)
     assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte at byte 0)"
 
 
 def test_pgm_output(tmp_path):
-    values = np.array([[0.0, 1.0], [2.0, 4.0]])
+    values = np.array([[0.0, 1.0, 0.0], [2.0, 4.0, 2.0], [0.0, 1.0, 0.0]])
     path = tmp_path / "v.pgm"
     write_pgm(path, values)
     lines = path.read_text().splitlines()
-    assert lines[:3] == ["P2", "2 2", "255"]
-    assert lines[3].split() == ["0", "64"]
-    assert lines[4].split() == ["128", "255"]
+    assert lines[:3] == ["P2", "3 3", "255"]
+    assert lines[3].split() == ["0", "64", "0"]
+    assert lines[4].split() == ["128", "255", "128"]
+    assert lines[5].split() == ["0", "64", "0"]
     # flat input stays deterministic
-    write_pgm(path, np.zeros((2, 2)))
-    assert path.read_text().splitlines()[3:] == ["0 0", "0 0"]
+    write_pgm(path, np.zeros((3, 3)))
+    assert path.read_text().splitlines()[3:] == ["0 0 0"] * 3
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (np.where(np.eye(3), np.nan, 1.0), "filter grid contains non-finite values"),
+        (np.where(np.eye(3), np.inf, 1.0), "filter grid contains non-finite values"),
+        (np.arange(4.0).reshape(2, 2), "filter side length must be odd, got 2"),
+    ],
+    ids=["nan", "inf", "even-side"],
+)
+def test_pgm_takes_only_filter_grids(tmp_path, grid, message):
+    # unchecked, the cast to int writes inf as -9223372036854775808 under maxval 255, and nan as 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_pgm(tmp_path / "v.pgm", grid)
+    assert list(tmp_path.iterdir()) == []

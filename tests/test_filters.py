@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from filtra import filters
-from filtra.fileio import write_filter_csv
+from filtra.fileio import write_filter_csv, write_pgm
 from filtra.filters import (
     TAP_CACHE_PIXELS,
     _build_taps,
@@ -55,20 +55,22 @@ def test_grid_validation():
 
 
 @pytest.mark.parametrize(
-    "entry",
+    "entry, noun",
     [
-        lambda grid, tmp: filter_transform(grid, cyclic_group(4), "bilinear"),
-        lambda grid, tmp: steerable_kernel(trivial_rep(cyclic_group(4)), [grid]),
-        lambda grid, tmp: circulant_kernel(grid, 4),
-        lambda grid, tmp: write_filter_csv(tmp / "grid.csv", grid),
+        (lambda grid, tmp: filter_transform(grid, cyclic_group(4), "bilinear"), "filter"),
+        (lambda grid, tmp: steerable_kernel(trivial_rep(cyclic_group(4)), [grid]), "filter"),
+        (lambda grid, tmp: circulant_kernel(grid, 4), "filter"),
+        (lambda grid, tmp: write_filter_csv(tmp / "grid.csv", grid), "filter"),
+        (lambda grid, tmp: write_pgm(tmp / "grid.pgm", grid), "filter"),
+        (lambda grid, tmp: sample_plane(grid, np.eye(2), "nearest"), "resampled"),
     ],
-    ids=["filter_transform", "steerable_kernel", "circulant_kernel", "write_filter_csv"],
+    ids=["filter_transform", "steerable_kernel", "circulant_kernel", "write_filter_csv", "write_pgm", "sample_plane"],
 )
-def test_complex_filter_grids_are_rejected(entry, tmp_path):
+def test_complex_filter_grids_are_rejected(entry, noun, tmp_path):
     # a cast to float would keep the real part and only warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^filter grid must be real, got complex values$"):
+        with pytest.raises(ValueError, match=f"^{noun} grid must be real, got complex values$"):
             entry(GRID3 + 2j, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
