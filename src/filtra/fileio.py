@@ -35,7 +35,9 @@ def read_filter_csv(path: str | Path) -> np.ndarray:
     # errors name file lines, which count the blank lines stripped before the header
     stripped = raw.strip()
     first = raw[: raw.index(stripped)].count("\n") + 1
-    lines = stripped.splitlines()
+    # `\n` alone ends a line, as in the header's line number; `int` and
+    # `float` strip a trailing `\r`, so CRLF files read too
+    lines = stripped.split("\n")
     if not lines or not lines[0].startswith("S="):
         raise ValueError(f"{path}:{first}: expected a first line of the form S=<odd int>")
     field = lines[0][2:]
@@ -72,9 +74,12 @@ def write_pgm(path: str | Path, values: np.ndarray) -> None:
     """8-bit P2 PGM of a filter grid with per-filter affine min-max
     normalization (lossy, visualization only)."""
     values = check_filter_grid(values)
-    lo, hi = values.min(), values.max()
+    # halved before subtracting, so that the range of finite values never
+    # overflows; exact outside the subnormal range, so the pixels are those
+    # of the unhalved ratio
+    lo, hi = values.min() / 2, values.max() / 2
     if hi > lo:
-        scaled = np.rint((values - lo) / (hi - lo) * 255).astype(int)
+        scaled = np.rint((values / 2 - lo) / (hi - lo) * 255).astype(int)
     else:
         scaled = np.zeros(values.shape, dtype=int)
     h, w = values.shape

@@ -200,16 +200,19 @@ def sample_plane(values: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarra
     centered coordinates (x, y) of pixel (r, c); points outside the grid read
     0.  The output has shape values.shape[:-2] + matrix.shape[:-2] + (h, w):
     leading dimensions of `values` are batched over every map of the stack.
-    The grid must be real and every map finite.  Bilinear taps are summed
-    in a fixed order from zero, so each map of a stack gives the same bits
-    as a call with that map alone, whatever the tiling.  The output is a
-    new C-contiguous array.
+    The grid and the maps must be real, and every map finite.  Bilinear
+    taps are summed in a fixed order from zero, so each map of a stack gives
+    the same bits as a call with that map alone, whatever the tiling.  The
+    output is a new C-contiguous array.
     """
     check_mode(mode)
     if np.iscomplexobj(values):
         raise ValueError("resampled grid must be real, got complex values")
     values = np.asarray(values, dtype=float)
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.asarray(matrix)
+    if matrix.dtype.kind == "c":
+        raise ValueError("coordinate maps must be real, got complex values")
+    matrix = matrix.astype(float, copy=False)
     if matrix.ndim < 2 or matrix.shape[-2:] != (2, 2):
         raise ValueError(f"coordinate maps must have shape (..., 2, 2), got {matrix.shape}")
     h, w = values.shape[-2:]

@@ -116,6 +116,18 @@ def test_filter_csv_reads_past_a_byte_order_mark(tmp_path):
         assert str(info.value) == f"{path}:{message}"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["S=3\n1,2,3\n4,5,6\x0c\n7,8,9\n", "S=3\r\n1,2,3\r\n4,5,6\r\n7,8,9\r\n"],
+    ids=["form-feed", "crlf"],
+)
+def test_filter_csv_rows_end_at_newlines_only(tmp_path, text):
+    # `str.splitlines` would also break at the form feed and count four rows
+    path = tmp_path / "rows.csv"
+    path.write_bytes(text.encode())
+    assert_array_equal(read_filter_csv(path), np.arange(1.0, 10.0).reshape(3, 3))
+
+
 def test_non_utf8_file_error_names_the_file(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"\xff\xfeS=3\n")
@@ -136,6 +148,19 @@ def test_pgm_output(tmp_path):
     # flat input stays deterministic
     write_pgm(path, np.zeros((3, 3)))
     assert path.read_text().splitlines()[3:] == ["0 0 0"] * 3
+
+
+def test_pgm_scales_a_range_that_overflows(tmp_path):
+    # unhalved, hi - lo is inf, and the cast to int writes nan as -9223372036854775808
+    values = np.array([[1e308, 0.0, -1e308], [5e307, 1.0, -5e307], [0.0, 0.0, 0.0]])
+    path = tmp_path / "v.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_pgm(path, values)
+    pixels = np.array([row.split() for row in path.read_text().splitlines()[3:]], dtype=int)
+    assert ((0 <= pixels) & (pixels <= 255)).all()
+    assert pixels[0, 0] == 255 and pixels[0, 2] == 0
+    assert pixels[1].tolist() == [191, 128, 64]
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,15 @@ def test_complex_filter_grids_are_rejected(entry, noun, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_complex_coordinate_maps_are_rejected():
+    # a cast to float would keep the real part, the identity map, and only warn
+    grid = np.arange(1.0, 10.0).reshape(3, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^coordinate maps must be real, got complex values$"):
+            sample_plane(grid, np.eye(2) * (1 + 1j), "nearest")
+
+
 def test_rotation_cos_sin_snaps_quarter_turns():
     assert rotation_cos_sin(0, 4) == (1.0, 0.0)
     assert rotation_cos_sin(1, 4) == (0.0, 1.0)
