@@ -14,17 +14,16 @@ the output.  Channel-first (kn2row) multiplies the kernel reshaped to
 (dim_out * S * S, dim_in) by the block's (dim_in, H * W) channels, then
 sums the S * S planes of that product, each shifted by its window offset,
 through one strided view into the output.  Channel-first is taken where its
-product is smaller than the im2col columns of the same output rows, which
-for a whole block is dim_out * H * W < dim_in * H' * W': kernels with one
-or two output channels, such as the reversed families.  Each order's
-buffer holds at most COLUMN_TILE doubles, sized to stay in a core's L2
-cache between the copy and the product: im2col in bands of output rows
-(more only where one row of columns alone exceeds it), channel-first in as
-many whole blocks as fit, or else one block in bands of output rows, and
-never where one such row alone would exceed it.  The order and
-the band height depend only on the kernel's shape and the map's H and W, so
-a block's result does not depend on how many blocks are correlated with it;
-the two orders round differently in the last bits.
+product is smaller than the im2col columns, dim_out * H * W <
+dim_in * H' * W' (kernels with one or two output channels, such as the
+reversed families), and a whole block's product fits COLUMN_TILE doubles;
+other blocks keep im2col.  Each order's buffer holds at most COLUMN_TILE
+doubles, sized to stay in a core's L2 cache between the copy and the
+product: im2col in bands of output rows (more only where one row of
+columns alone exceeds it), channel-first in as many whole blocks as fit.
+The order and the band height depend only on the kernel's shape and the
+map's H and W, so a block's result does not depend on how many blocks are
+correlated with it; the two orders round differently in the last bits.
 `_correlate` is that valid correlation: it reads the map itself and gives
 the (H - S + 1) x (W - S + 1) output.  `conv2d` runs it on a zero-padded
 copy of the map, so the valid output is `conv2d`'s interior crop up to BLAS
@@ -58,12 +57,13 @@ from .groups import GroupElement, GroupSpec, check_integers, inverse_indices
 from .kernels import SteerableKernel
 from .representations import RepSpec, trivial_rep
 
-# doubles in either order's buffer (512 KiB): a band holds as many output
-# rows as fit, and never fewer than one.  4 MiB bands did not fit a
-# 2 MiB L2 and streamed from memory; at 256 KiB a 15 x 15 map with 1296 column
-# rows (D8 regular, S = 9) becomes one-row bands of 15 columns, where BLAS is
-# slower.  BLAS may round a product in the last bits differently at another
-# band width.
+# doubles in the im2col band buffer (512 KiB): a band holds as many output
+# rows of columns as fit, and never fewer than one.  A channel-first product
+# holds as many whole blocks as fit, and at least one, else im2col is kept.
+# 4 MiB bands did not fit a 2 MiB L2 and streamed from memory; at 256 KiB a
+# 15 x 15 map with 1296 column rows (D8 regular, S = 9) becomes one-row bands
+# of 15 columns, where BLAS is slower.  BLAS may round a product in the last
+# bits differently at another band width.
 COLUMN_TILE = 1 << 16
 
 
@@ -112,18 +112,12 @@ def feature_map(group: GroupSpec, rep: RepSpec, data: np.ndarray) -> FeatureMap:
     return FeatureMap(rep, data)
 
 
-def _channel_first_rows(do: int, di: int, s: int, h: int, w: int) -> int:
-    """Output rows per band of the channel-first order for a di -> do kernel
-    of side s on h x w blocks, or 0 where im2col is the smaller copy.  A
-    band's product holds do * s * s planes of its rows plus the s - 1 rows
-    below them, within COLUMN_TILE doubles: a block that fits is one band;
-    one that does not is cut into bands of as many output rows as fit, and
-    keeps im2col where not one fits."""
-    oh, ow, planes = h - s + 1, w - s + 1, do * s * s
-    rows = oh if planes * h * w <= COLUMN_TILE else COLUMN_TILE // (planes * w) - s + 1
-    # planes * (rows + s - 1) * w against di * s * s * rows * ow column
-    # doubles; where not one output row fits, rows <= 0 and im2col is kept
-    return rows if do * (rows + s - 1) * w < di * rows * ow else 0
+def _channel_first(do: int, di: int, s: int, h: int, w: int) -> bool:
+    """Whether a di -> do kernel of side s is correlated channel-first on
+    h x w blocks: where its product, do * s * s planes of h * w doubles, is
+    smaller than the im2col columns, di * s * s rows of h' * w', and a whole
+    block's product fits COLUMN_TILE doubles."""
+    return do * s * s * h * w <= COLUMN_TILE and do * h * w < di * (h - s + 1) * (w - s + 1)
 
 
 def _correlate_columns(grids: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> None:
@@ -147,42 +141,38 @@ def _correlate_columns(grids: np.ndarray, blocks: np.ndarray, out: np.ndarray) -
             np.matmul(weights, columns, out=flat[b, :, y * ow : (y + band) * ow])
 
 
-def _correlate_channels_first(grids: np.ndarray, blocks: np.ndarray, rows: int, out: np.ndarray) -> None:
+def _correlate_channels_first(grids: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> None:
     """kn2row: the kernel reshaped to (do * S * S, di) times each block's
     (di, H * W) channels, then the S * S planes of that product, each
     shifted by its window offset, summed into `out`, (m, do, H', W').
-    Whole blocks go as many at a time as fit COLUMN_TILE, else one block
-    in bands of `rows` output rows, each read with the S - 1 rows below."""
+    Whole blocks go as many at a time as fit COLUMN_TILE."""
     (m, di, h, w), (do, _, s, _) = blocks.shape, grids.shape
     oh, ow, planes = out.shape[2], out.shape[3], do * s * s
-    count = min(m, max(1, COLUMN_TILE // (planes * h * w)))
-    buffer = np.empty(count * planes * (rows + s - 1) * w)
+    count = min(m, COLUMN_TILE // (planes * h * w))
+    buffer = np.empty(count * planes * h * w)
     # row (o, u, v) holds the kernel taps at window offset (u, v)
     weights = grids.transpose(0, 2, 3, 1).reshape(planes, di)
     step = buffer.itemsize
     for b in range(0, m, count):
         n = min(count, m - b)
-        for y in range(0, oh, rows):
-            band = min(rows, oh - y)
-            span = (band + s - 1) * w
-            product = buffer[: n * planes * span].reshape(n, planes, span)
-            np.matmul(weights, blocks[b : b + n, :, y : y + band + s - 1].reshape(n, di, span), out=product)
-            # (n, do, S, S, band, W'): plane (o, u, v) read from row u and column v on
-            by_block, by_plane, _ = product.strides
-            shifted = as_strided(
-                product,
-                (n, do, s, s, band, ow),
-                (by_block, s * s * by_plane, s * by_plane + w * step, by_plane + step, w * step, step),
-                writeable=False,
-            )
-            shifted.sum(axis=(2, 3), out=out[b : b + n, :, y : y + band])
+        product = buffer[: n * planes * h * w].reshape(n, planes, h * w)
+        np.matmul(weights, blocks[b : b + n].reshape(n, di, h * w), out=product)
+        # (n, do, S, S, H', W'): plane (o, u, v) read from row u and column v on
+        by_block, by_plane, _ = product.strides
+        shifted = as_strided(
+            product,
+            (n, do, s, s, oh, ow),
+            (by_block, s * s * by_plane, s * by_plane + w * step, by_plane + step, w * step, step),
+            writeable=False,
+        )
+        shifted.sum(axis=(2, 3), out=out[b : b + n])
 
 
 def _correlate(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
     """Valid cross-correlation of the feature map with the kernel at stride
     1: the output has H - S + 1 rows and W - S + 1 columns, reads the map
     alone and carries the kernel's output representation.  The order of the
-    contraction is chosen from the shapes alone (`_channel_first_rows`)."""
+    contraction is chosen from the shapes alone (`_channel_first`)."""
     if f.rep.spec != kernel.rep_in.spec:
         raise ValueError(f"feature group {f.rep.spec.name} != kernel group {kernel.rep_in.spec.name}")
     if f.rep != kernel.rep_in:
@@ -193,9 +183,8 @@ def _correlate(kernel: SteerableKernel, f: FeatureMap) -> FeatureMap:
     blocks = f.blocks()
     (m, di, h, w), do = blocks.shape, kernel.rep_out.dim
     out = np.empty((m, do, h - s + 1, w - s + 1))
-    rows = _channel_first_rows(do, di, s, h, w)
-    if rows:
-        _correlate_channels_first(kernel.grids, blocks, rows, out)
+    if _channel_first(do, di, s, h, w):
+        _correlate_channels_first(kernel.grids, blocks, out)
     else:
         _correlate_columns(kernel.grids, blocks, out)
     return FeatureMap(kernel.rep_out, out.reshape(-1, *out.shape[2:]))

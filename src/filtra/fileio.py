@@ -35,8 +35,8 @@ def read_filter_csv(path: str | Path) -> np.ndarray:
     # errors name file lines, which count the blank lines stripped before the header
     stripped = raw.strip()
     first = raw[: raw.index(stripped)].count("\n") + 1
-    # `\n` alone ends a line, as in the header's line number; `int` and
-    # `float` strip a trailing `\r`, so CRLF files read too
+    # `\n` alone ends a line, as in the header's line number; `read_text`
+    # reads `\r\n` and a lone `\r` as `\n`, so CRLF and CR files read too
     lines = stripped.split("\n")
     if not lines or not lines[0].startswith("S="):
         raise ValueError(f"{path}:{first}: expected a first line of the form S=<odd int>")

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from filtra import features
 from filtra.features import (
     COLUMN_TILE,
-    _channel_first_rows,
+    _channel_first,
     _correlate,
     _correlate_columns,
     act_on_feature,
@@ -411,15 +411,13 @@ def pool_or_refusal(f, k, stride):
         ("regular", "regular", 1, 9, 10, COLUMN_TILE // (3 * 648)),
         # the same map channel-first, one whole block per product
         ("regular", "trivial", 2, 9, 10, COLUMN_TILE // (3 * 648)),
-        # one row of columns is larger than the buffer: every band is one row
+        # one row of columns is larger than the buffer: every band is one row;
+        # the block's channel-first product would be smaller, but exceeds it too
         ("regular", "irrep", 1, 9, 9, COLUMN_TILE // 648 + 1),
         # channel-first: three whole blocks in one product, and the smallest
         # margin, 56 < 60 doubles a plane
         ("regular", "trivial", 3, 5, 9, 7),
         ("irrep", "trivial", 2, 3, 6, 5),
-        # channel-first on a block of 81 * 38 * 33 > COLUMN_TILE doubles:
-        # bands of 16 rows, so 30 rows end in a short band of 14
-        ("regular", "trivial", 1, 9, 30, 25),
     ],
 )
 def test_conv_matches_per_pixel_loop(rep_in, rep_out, m, s, h, w):
@@ -437,28 +435,27 @@ def test_conv_matches_per_pixel_loop(rep_in, rep_out, m, s, h, w):
 
 
 @pytest.mark.parametrize(
-    "do, di, s, h, w, rows",
+    "do, di, s, h, w, taken",
     [
         # the conv2d cases above, on their padded maps
-        (1, 8, 5, 13, 11, 9),
-        (1, 2, 3, 8, 7, 6),
-        (1, 8, 9, 38, 33, 16),
-        (8, 8, 9, 18, 41, 0),
-        (2, 8, 9, 17, 110, 0),
+        (1, 8, 5, 13, 11, True),
+        (1, 2, 3, 8, 7, True),
+        (8, 8, 9, 18, 41, False),
+        (2, 8, 9, 17, 110, False),
         # 2 * 4 * 4 == 8 * 2 * 2: a tie keeps im2col, and one output
         # channel takes channel-first
-        (2, 8, 3, 4, 4, 0),
-        (1, 8, 3, 4, 4, 2),
-        # a band of one output row, 81 planes of 9 x 89 doubles, is the
-        # largest that fits the tile; at 90 columns im2col is kept
-        (1, 64, 9, 100, COLUMN_TILE // 729, 1),
-        (1, 64, 9, 100, COLUMN_TILE // 729 + 1, 0),
+        (2, 8, 3, 4, 4, False),
+        (1, 8, 3, 4, 4, True),
+        # 9 planes of 81 x 89 doubles are the widest block that fits the
+        # tile; at 90 columns im2col is kept, though its columns are larger
+        (1, 8, 3, 81, COLUMN_TILE // (9 * 81), True),
+        (1, 8, 3, 81, COLUMN_TILE // (9 * 81) + 1, False),
     ],
 )
-def test_channel_first_is_taken_where_its_product_is_smaller(do, di, s, h, w, rows):
-    assert _channel_first_rows(do, di, s, h, w) == rows
-    if rows:
-        assert do * s * s * (rows + s - 1) * w <= COLUMN_TILE
+def test_channel_first_is_taken_where_its_product_is_smaller(do, di, s, h, w, taken):
+    assert _channel_first(do, di, s, h, w) == taken
+    if taken:
+        assert do * s * s * h * w <= COLUMN_TILE
 
 
 def _blocks_as_im2col(kernel, f):
@@ -483,7 +480,7 @@ def test_many_output_channels_keep_the_im2col_bits(group, rep_in, s, m, side):
     rng = np.random.default_rng(s)
     kernel = SteerableKernel(rin, rout, rng.uniform(-1, 1, (rout.dim, rin.dim, s, s)), "bilinear")
     f = feature_map(spec, rin, rng.uniform(-1, 1, (m * rin.dim, side, side)))
-    assert _channel_first_rows(rout.dim, rin.dim, s, side, side) == 0
+    assert not _channel_first(rout.dim, rin.dim, s, side, side)
     assert _correlate(kernel, f).data.tobytes() == _blocks_as_im2col(kernel, f).tobytes()
 
 
@@ -567,11 +564,9 @@ def test_conv_property_matches_loop_and_is_linear(reps, m, s, dh, dw, tile, seed
 @example(reps=("regular", "regular"), m=2, s=9, dh=0, dw=0, tile=COLUMN_TILE, seed=0)  # one output pixel
 @example(reps=("irrep", "regular"), m=1, s=1, dh=0, dw=16, tile=40, seed=1)  # a 1 x 17 map
 # each side of the shape rule: 99 doubles a plane against 280 channel-first,
-# 8 * 99 against 8 * 35 im2col, and 60 against 64 in one-row bands that
-# fill the tile, 18 planes of 3 x 10
+# 8 * 99 against 8 * 35 im2col
 @example(reps=("regular", "trivial"), m=3, s=5, dh=6, dw=4, tile=COLUMN_TILE, seed=2)
 @example(reps=("regular", "regular"), m=2, s=5, dh=6, dw=4, tile=COLUMN_TILE, seed=3)
-@example(reps=("regular", "irrep"), m=2, s=3, dh=5, dw=7, tile=540, seed=4)
 def test_valid_correlation_is_the_interior_crop_of_conv(reps, m, s, dh, dw, tile, seed):
     d4 = dihedral_group(4)
     by_name = {"trivial": trivial_rep(d4), "irrep": irrep(d4, 1, 1), "regular": regular_rep(d4)}

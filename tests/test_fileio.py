@@ -118,14 +118,19 @@ def test_filter_csv_reads_past_a_byte_order_mark(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["S=3\n1,2,3\n4,5,6\x0c\n7,8,9\n", "S=3\r\n1,2,3\r\n4,5,6\r\n7,8,9\r\n"],
-    ids=["form-feed", "crlf"],
+    ["S=3\n1,2,3\n4,5,6\x0c\n7,8,9\n", "S=3\r\n1,2,3\r\n4,5,6\r\n7,8,9\r\n", "S=3\r1,2,3\r4,5,6\r7,8,9"],
+    ids=["form-feed", "crlf", "cr"],
 )
 def test_filter_csv_rows_end_at_newlines_only(tmp_path, text):
     # `str.splitlines` would also break at the form feed and count four rows
     path = tmp_path / "rows.csv"
     path.write_bytes(text.encode())
     assert_array_equal(read_filter_csv(path), np.arange(1.0, 10.0).reshape(3, 3))
+    # CRLF and CR arrive as newlines, so error texts name no `\r`
+    path.write_bytes(text.replace("2", "x").encode())
+    with pytest.raises(ValueError) as info:
+        read_filter_csv(path)
+    assert str(info.value) == f"{path}:2: values must be numbers, got '1,x,3'"
 
 
 def test_non_utf8_file_error_names_the_file(tmp_path):
